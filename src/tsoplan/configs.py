@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 
@@ -170,11 +171,22 @@ def _int_field(obj: dict, key: str, what: str, minimum: int = 1) -> int:
     return value
 
 
-def _number_field(obj: dict, key: str, what: str, minimum: float = 0.0) -> float:
-    value = obj[key]
+def finite_number(value: object) -> float | None:
+    """A JSON number as a float, or None for non-numbers, bools, NaN and
+    values beyond the float range."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{what}: {key} must be a number")
-    value = float(value)
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
+def _number_field(obj: dict, key: str, what: str, minimum: float = 0.0) -> float:
+    value = finite_number(obj[key])
+    if value is None:
+        raise ConfigError(f"{what}: {key} must be a finite number")
     if value < minimum:
         raise ConfigError(f"{what}: {key} must be >= {minimum}, got {value}")
     return value

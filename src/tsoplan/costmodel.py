@@ -11,6 +11,10 @@ model a move pays one CAS latency per DRAM burst it touches plus the tile's
 bytes over the peak bandwidth; in the noburst model only the bandwidth term
 remains.  Burst counts come from decomposing the tile's footprint into
 maximal contiguous byte runs of the row-major source tensor.
+
+Every formula here takes plain ints for one tile or numpy arrays for a grid
+of candidate tiles; the search prices its grids through these same
+functions.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ from typing import Literal
 
 from .configs import ArchConfig, ConvLayerSpec
 from .slicing import ScheduleKind, TileConfig, TleSlice
-from .util import ceil_div
+from .util import ceil_div, minimum, select
 
 BurstMode = Literal["aligned", "address_aware"]
 TimeModel = Literal["burst", "noburst"]
@@ -76,31 +80,31 @@ def compute_alphas(
     once per tile of the whole output map, regardless of clustering.
     """
     cr = ceil_div(slice_.tle_r, tile.t_r)
-    cc = ceil_div(conv.c, tile.t_c)
     cn = ceil_div(conv.n, tile.t_n)
-    cm = ceil_div(slice_.tle_w, tile.t_m)
     gr = ceil_div(conv.r, tile.t_r)
-    gc = ceil_div(conv.c, tile.t_c)
-    gm = ceil_div(conv.m, tile.t_m)
+    # Columns are never split across TLEs: slice and map share this count.
+    cc = ceil_div(conv.c, tile.t_c)
     if q is ScheduleKind.IS:
         # All of a TLT's filters stay resident: no weight-group loop, and the
         # output map is written once per spatial tile.
         loads = n_tle * cr * cc * cn
-        return Alphas(a_in=loads, a_w=loads, a_out=gr * gc)
+        return Alphas(a_in=loads, a_w=loads, a_out=gr * cc)
+    cm = ceil_div(slice_.tle_w, tile.t_m)
+    gm = ceil_div(conv.m, tile.t_m)
     if q is ScheduleKind.OS:
         loads = n_tle * cr * cc * cn * cm
-        return Alphas(a_in=loads, a_w=loads, a_out=gr * gc * gm)
+        return Alphas(a_in=loads, a_w=loads, a_out=gr * cc * gm)
     return Alphas(
         a_in=n_tle * cr * cc * cn * cm,
         a_w=n_tle * cm,
-        a_out=gr * gc * gm,
+        a_out=gr * cc * gm,
     )
 
 
 def tile_mac_time(tile: TileConfig, conv: ConvLayerSpec, arch: ArchConfig) -> float:
     """Seconds one TLT spends computing one tile."""
     macs = arch.macs_per_cycle(conv.elem_bytes)
-    cycles = tile.t_n * tile.t_m * ceil_div(tile.t_r * tile.t_c * conv.k * conv.k, macs)
+    cycles = tile.t_n * tile.t_m * ceil_div(tile.t_r * tile.t_c * (conv.k * conv.k), macs)
     return cycles / arch.freq_hz
 
 
@@ -177,11 +181,12 @@ def calc_burst_count(
     mode: BurstMode = "aligned",
     origin: tuple[int, int, int] = (0, 0, 0),
 ) -> int:
-    """DRAM bursts one tile move touches.
+    """DRAM bursts one tile move touches, counted over its byte runs.
 
     aligned assumes every run starts on a burst boundary; address_aware
     counts the burst-sized blocks the run actually overlaps at its true byte
-    address (tensor bases are burst-aligned).
+    address (tensor bases are burst-aligned).  At the map origin the aligned
+    count is what :func:`aligned_bursts` states in closed form.
     """
     dims, extent = tile_box(kind, tile, conv)
     burst = arch.burst_bytes
@@ -192,6 +197,30 @@ def calc_burst_count(
         else:
             total += (start + length - 1) // burst - start // burst + 1
     return total
+
+
+def aligned_bursts(kind: TileKind, tile: TileConfig, conv: ConvLayerSpec, arch: ArchConfig):
+    """Aligned bursts of one tile move whose box starts at the map origin.
+
+    The clipped box is one run per (channel, row) while it is narrower than
+    the map, one run per channel once it spans whole rows, and a single run
+    once it also spans whole channels.  Elementwise over array tiles.
+    """
+    (d0, d1, d2), (e0, e1, e2) = tile_box(kind, tile, conv)
+    x0, x1, x2 = minimum(e0, d0), minimum(e1, d1), minimum(e2, d2)
+    partial_rows = x2 < d2
+    partial_chans = x1 < d1
+    n_runs = select(partial_rows, x0 * x1, select(partial_chans, x0, 1))
+    run_elems = select(partial_rows, x2, select(partial_chans, x1 * d2, x0 * (d1 * d2)))
+    return n_runs * ceil_div(run_elems * conv.elem_bytes, arch.burst_bytes)
+
+
+def transfer_time(nbursts, tile_bytes, arch: ArchConfig, model: TimeModel):
+    """Seconds for one tile move: the bytes at bandwidth rate, plus one CAS
+    latency per burst under the burst model."""
+    if model == "burst":
+        return nbursts * arch.cas_s + tile_bytes / arch.bw_bytes_per_s
+    return tile_bytes / arch.bw_bytes_per_s
 
 
 _TILE_BYTES = {
@@ -209,17 +238,7 @@ def calc_data_transfer(
     model: TimeModel = "burst",
 ) -> float:
     """Seconds to move one tile between DRAM and a scratchpad."""
-    tile_bytes = _TILE_BYTES[kind](tile)
-    if model == "burst":
-        nbursts = calc_burst_count(kind, tile, conv, arch, "aligned")
-        return nbursts * arch.cas_s + tile_bytes / arch.bw_bytes_per_s
-    return tile_bytes / arch.bw_bytes_per_s
-
-
-def _transfer_seconds(nbursts: int, tile_bytes: int, arch: ArchConfig, model: TimeModel) -> float:
-    if model == "burst":
-        return nbursts * arch.cas_s + tile_bytes / arch.bw_bytes_per_s
-    return tile_bytes / arch.bw_bytes_per_s
+    return transfer_time(aligned_bursts(kind, tile, conv, arch), _TILE_BYTES[kind](tile), arch, model)
 
 
 def calc_time(
@@ -230,15 +249,18 @@ def calc_time(
     arch: ArchConfig,
     model: TimeModel = "burst",
 ) -> CostBreakdown:
-    """Full additive time estimate for running a layer with one tile shape."""
+    """Full additive time estimate for running a layer with one tile shape.
+
+    Elementwise over a TileConfig of arrays, giving a CostBreakdown of
+    arrays bit for bit equal to pricing each tile on its own.
+    """
     alphas = compute_alphas(q, conv, slice_, tile, arch.n_tle)
-    nb_in = calc_burst_count(TileKind.IN, tile, conv, arch, "aligned")
-    nb_w = calc_burst_count(TileKind.W, tile, conv, arch, "aligned")
-    nb_out = calc_burst_count(TileKind.OUT, tile, conv, arch, "aligned")
-    x_in = _transfer_seconds(nb_in, tile.in_bytes, arch, model)
-    x_w = _transfer_seconds(nb_w, tile.w_bytes, arch, model)
-    x_out = _transfer_seconds(nb_out, tile.out_bytes, arch, model)
-    t_dram = alphas.a_in * x_in + alphas.a_w * x_w + alphas.a_out * x_out
+    nb_in, nb_w, nb_out = (aligned_bursts(kind, tile, conv, arch) for kind in TileKind)
+    t_dram = (
+        alphas.a_in * transfer_time(nb_in, tile.in_bytes, arch, model)
+        + alphas.a_w * transfer_time(nb_w, tile.w_bytes, arch, model)
+        + alphas.a_out * transfer_time(nb_out, tile.out_bytes, arch, model)
+    )
     t_mac = conv_mac_time(tile, conv, arch)
     t_sw = alphas.total * arch.sw_overhead_s
     return CostBreakdown(

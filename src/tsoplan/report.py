@@ -11,11 +11,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import Field, dataclass, field, fields
+from enum import Enum
+from typing import get_type_hints
 
-from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec
-from .costmodel import _transfer_seconds
-from .search import PlanMap, StrategyComparison
+from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, finite_number
+from .costmodel import transfer_time
+from .search import PlanEntry, PlanMap, StrategyComparison
 from .slicing import ScheduleKind, TlePartitionKind
 
 
@@ -24,57 +26,23 @@ def format_us(seconds: float) -> float:
     return round(seconds * 1e6, 3)
 
 
-def plan_to_json_dict(plan: PlanMap, arch: ArchConfig) -> dict:
-    entries = []
-    for entry in plan.entries.values():
-        cost = entry.cost
-        tile = entry.tile
-        entries.append(
-            {
-                "layer": entry.layer,
-                "tle_partition": entry.slice.kind.value,
-                "schedule": entry.schedule.value,
-                "t_m": tile.t_m,
-                "t_n": tile.t_n,
-                "t_r": tile.t_r,
-                "t_c": tile.t_c,
-                "t_h": tile.t_h,
-                "t_l": tile.t_l,
-                "alpha_in": cost.alphas.a_in,
-                "alpha_w": cost.alphas.a_w,
-                "alpha_out": cost.alphas.a_out,
-                "bursts_in": cost.bursts_in,
-                "bursts_w": cost.bursts_w,
-                "bursts_out": cost.bursts_out,
-                "t_mac_us": format_us(cost.t_mac),
-                "t_dram_us": format_us(cost.t_dram),
-                "t_sw_us": format_us(cost.t_sw),
-                "t_total_us": format_us(cost.t_total),
-            }
-        )
-    return {
-        "model": plan.model_name,
-        "arch_digest": arch.digest(),
-        "mode": plan.mode,
-        "entries": entries,
-    }
-
-
-def plan_json_text(plan: PlanMap, arch: ArchConfig) -> str:
-    return json.dumps(plan_to_json_dict(plan, arch), indent=2) + "\n"
+# Tile sides and windows are at least 1; every other count may be 0.
+_TILE_DIM = {"minimum": 1}
 
 
 @dataclass(frozen=True)
 class PlanEntryDoc:
+    """One layer of a plan file; its fields, in order, are the entry's JSON keys."""
+
     layer: str
     tle_partition: TlePartitionKind
     schedule: ScheduleKind
-    t_m: int
-    t_n: int
-    t_r: int
-    t_c: int
-    t_h: int
-    t_l: int
+    t_m: int = field(metadata=_TILE_DIM)
+    t_n: int = field(metadata=_TILE_DIM)
+    t_r: int = field(metadata=_TILE_DIM)
+    t_c: int = field(metadata=_TILE_DIM)
+    t_h: int = field(metadata=_TILE_DIM)
+    t_l: int = field(metadata=_TILE_DIM)
     alpha_in: int
     alpha_w: int
     alpha_out: int
@@ -95,21 +63,75 @@ class PlanDoc:
     entries: tuple[PlanEntryDoc, ...]
 
 
-_ENTRY_INT_KEYS = (
-    "t_m",
-    "t_n",
-    "t_r",
-    "t_c",
-    "t_h",
-    "t_l",
-    "alpha_in",
-    "alpha_w",
-    "alpha_out",
-    "bursts_in",
-    "bursts_w",
-    "bursts_out",
-)
-_ENTRY_TIME_KEYS = ("t_mac_us", "t_dram_us", "t_sw_us", "t_total_us")
+_ENTRY_FIELDS = fields(PlanEntryDoc)
+_ENTRY_TYPES = get_type_hints(PlanEntryDoc)
+
+
+def _entry_doc(entry: PlanEntry) -> PlanEntryDoc:
+    cost = entry.cost
+    tile = entry.tile
+    return PlanEntryDoc(
+        layer=entry.layer,
+        tle_partition=entry.slice.kind,
+        schedule=entry.schedule,
+        t_m=tile.t_m,
+        t_n=tile.t_n,
+        t_r=tile.t_r,
+        t_c=tile.t_c,
+        t_h=tile.t_h,
+        t_l=tile.t_l,
+        alpha_in=cost.alphas.a_in,
+        alpha_w=cost.alphas.a_w,
+        alpha_out=cost.alphas.a_out,
+        bursts_in=cost.bursts_in,
+        bursts_w=cost.bursts_w,
+        bursts_out=cost.bursts_out,
+        t_mac_us=format_us(cost.t_mac),
+        t_dram_us=format_us(cost.t_dram),
+        t_sw_us=format_us(cost.t_sw),
+        t_total_us=format_us(cost.t_total),
+    )
+
+
+def _json_value(value: object) -> object:
+    return value.value if isinstance(value, Enum) else value
+
+
+def plan_to_json_dict(plan: PlanMap, arch: ArchConfig) -> dict:
+    entries = [
+        {f.name: _json_value(getattr(doc, f.name)) for f in _ENTRY_FIELDS}
+        for doc in map(_entry_doc, plan.entries.values())
+    ]
+    return {
+        "model": plan.model_name,
+        "arch_digest": arch.digest(),
+        "mode": plan.mode,
+        "entries": entries,
+    }
+
+
+def plan_json_text(plan: PlanMap, arch: ArchConfig) -> str:
+    return json.dumps(plan_to_json_dict(plan, arch), indent=2) + "\n"
+
+
+def _entry_value(where: str, f: Field, value: object) -> object:
+    kind = _ENTRY_TYPES[f.name]
+    if kind is str:
+        return str(value)
+    if issubclass(kind, Enum):
+        try:
+            return kind(value)
+        except ValueError:
+            raise ConfigError(f"{where}: unknown {f.name} {value!r}") from None
+    if kind is int:
+        minimum = f.metadata.get("minimum", 0)
+        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
+            raise ConfigError(f"{where}: field {f.name!r} must be an integer >= {minimum}")
+        return value
+    number = finite_number(value)
+    if number is None or number < 0:
+        raise ConfigError(f"{where}: field {f.name!r} must be a finite non-negative number")
+    return number
 
 
 def plan_from_json_dict(data: object) -> PlanDoc:
@@ -127,37 +149,11 @@ def plan_from_json_dict(data: object) -> PlanDoc:
         if not isinstance(raw, dict):
             raise ConfigError(f"plan entry {i} must be a JSON object")
         where = f"plan entry {i}"
-        for key in ("layer", "tle_partition", "schedule", *_ENTRY_INT_KEYS, *_ENTRY_TIME_KEYS):
-            if key not in raw:
-                raise ConfigError(f"{where} missing field {key!r}")
-        try:
-            partition = TlePartitionKind(raw["tle_partition"])
-        except ValueError:
-            raise ConfigError(f"{where}: unknown tle_partition {raw['tle_partition']!r}") from None
-        try:
-            schedule = ScheduleKind(raw["schedule"])
-        except ValueError:
-            raise ConfigError(f"{where}: unknown schedule {raw['schedule']!r}") from None
-        ints = {}
-        for key in _ENTRY_INT_KEYS:
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-                raise ConfigError(f"{where}: field {key!r} must be a non-negative integer")
-            ints[key] = value
-        times = {}
-        for key in _ENTRY_TIME_KEYS:
-            value = raw[key]
-            if isinstance(value, bool) or not isinstance(value, (int, float)) or value < 0:
-                raise ConfigError(f"{where}: field {key!r} must be a non-negative number")
-            times[key] = float(value)
+        for f in _ENTRY_FIELDS:
+            if f.name not in raw:
+                raise ConfigError(f"{where} missing field {f.name!r}")
         entries.append(
-            PlanEntryDoc(
-                layer=str(raw["layer"]),
-                tle_partition=partition,
-                schedule=schedule,
-                **ints,
-                **times,
-            )
+            PlanEntryDoc(**{f.name: _entry_value(where, f, raw[f.name]) for f in _ENTRY_FIELDS})
         )
     return PlanDoc(
         model=str(data["model"]),
@@ -192,9 +188,9 @@ def breakdown_rows(
     for name, entry in plan.entries.items():
         cost = entry.cost
         tile = entry.tile
-        x_in = _transfer_seconds(cost.bursts_in, tile.in_bytes, arch, cost.mode)
-        x_w = _transfer_seconds(cost.bursts_w, tile.w_bytes, arch, cost.mode)
-        x_out = _transfer_seconds(cost.bursts_out, tile.out_bytes, arch, cost.mode)
+        x_in = transfer_time(cost.bursts_in, tile.in_bytes, arch, cost.mode)
+        x_w = transfer_time(cost.bursts_w, tile.w_bytes, arch, cost.mode)
+        x_out = transfer_time(cost.bursts_out, tile.out_bytes, arch, cost.mode)
         a = cost.alphas
         load = a.a_in * x_in + a.a_w * x_w + (a.a_in + a.a_w) * arch.sw_overhead_s
         store = a.a_out * x_out + a.a_out * arch.sw_overhead_s

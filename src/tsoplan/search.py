@@ -9,11 +9,14 @@ canonical enumeration order wins, and later candidates replace it only when
 strictly cheaper.  Exact ties between partition/schedule pairs are flagged
 in the search statistics.
 
-Tile grids are priced with vectorized integer/float arithmetic that mirrors
-:mod:`tsoplan.costmodel` operation for operation, so the argmin equals what
-a scalar sweep would select; the winner's reported cost is then recomputed
-through the scalar path.  Layers are planned independently (optionally in
-parallel), so plans do not depend on the worker count.
+Tile grids are priced by the same filter_count, tile_footprint and
+calc_time that price a single tile, called with numpy arrays of candidate
+sides in place of ints, so the argmin is what a plain-loop sweep would
+select.  The winner is then rebuilt through the scalar path, and its
+closed-form burst counts are re-counted over the tile's byte runs; any
+disagreement is an internal error.  Layers are
+planned independently (optionally in parallel), so plans do not depend on
+the worker count.
 """
 
 from __future__ import annotations
@@ -26,15 +29,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .configs import ArchConfig, ConvLayerSpec, ModelSpec
-from .costmodel import CostBreakdown, TimeModel, calc_time
+from .costmodel import CostBreakdown, TileKind, TimeModel, calc_burst_count, calc_time
 from .slicing import (
     Infeasible,
     ScheduleKind,
     TileConfig,
     TlePartitionKind,
     TleSlice,
+    filter_count,
     gen_tile,
     get_filters,
+    tile_footprint,
     tle_slicing,
 )
 
@@ -90,10 +95,6 @@ class _GridResult:
     n_candidates: int
 
 
-def _cdiv(a, b):
-    return (a + b - 1) // b
-
-
 def _grid_search(
     conv: ConvLayerSpec,
     arch: ArchConfig,
@@ -104,141 +105,40 @@ def _grid_search(
 ) -> _GridResult:
     """Price every tile candidate for one partition/schedule pair.
 
-    The arithmetic below restates gen_tile, compute_alphas, the aligned
-    burst tiers of calc_burst_count at the map origin, and calc_time, as
-    array expressions over the (t_r, t_c, t_n) grid.
+    The (t_r, t_c, t_n) grid is built as broadcast index arrays, in chunks
+    of whole t_r rows, and priced by filter_count, tile_footprint and
+    calc_time exactly as they price a single tile.  Cells without a filter
+    group or overflowing a scratchpad are masked out; the first strict
+    minimum in (t_r, t_c, t_n) order wins.
     """
-    e = conv.elem_bytes
-    kk = conv.k * conv.k
-    macs = arch.macs_per_cycle(e)
-    total_tlts = arch.n_tle * arch.n_tlt
-    burst = arch.burst_bytes
-    cas = arch.cas_s
-    bw = arch.bw_bytes_per_s
-    sw = arch.sw_overhead_s
-    f = _cdiv(slice_.tle_w, n_tlt)
-
-    if q is ScheduleKind.WS:
-        ws_cap = arch.mb1_bytes // (conv.n * kk * e)
-        if ws_cap < 1:
-            n_cand = slice_.tle_r * conv.c * conv.n
-            return _GridResult(None, np.inf, 0, n_cand)
-
+    n_candidates = slice_.tle_r * conv.c * conv.n
     t_c = np.arange(1, conv.c + 1, dtype=np.int64).reshape(1, -1, 1)
     t_n = np.arange(1, conv.n + 1, dtype=np.int64).reshape(1, 1, -1)
-    t_l = np.minimum((t_c - 1) * conv.s + conv.k, conv.l + 2 * conv.p)
-    eff_l = np.minimum(t_l, conv.l)
-
-    cc = _cdiv(conv.c, t_c)
-    cn = _cdiv(conv.n, t_n)
-
-    if q is ScheduleKind.IS:
-        t_m = np.full_like(t_n, f)
-        sched_ok = f * t_n * kk * e <= arch.mb1_bytes
-    elif q is ScheduleKind.OS:
-        cap = arch.mb1_bytes // (t_n * kk * e)
-        sched_ok = cap >= 1
-        # Cells with cap = 0 are masked infeasible; clamp so the dead
-        # arithmetic below stays division-safe.
-        t_m = np.maximum(np.minimum(f, cap), 1)
-    else:
-        t_m = np.full_like(t_n, min(f, ws_cap))
-        sched_ok = np.ones_like(t_n, dtype=bool)
-
-    w_depth = np.full_like(t_n, conv.n) if q is ScheduleKind.WS else t_n
-    w_bytes = t_m * w_depth * kk * e
-    out_per_row = t_m * t_c * e  # times t_r later
-    cm = _cdiv(slice_.tle_w, t_m)
-    gm = _cdiv(conv.m, t_m)
-
-    # Weight-tile aligned bursts: one run per filter of w_depth channels,
-    # merging into a single run when the tile spans the full depth.
-    w_run = w_depth * kk * e
-    nb_w = np.where(
-        w_depth == conv.n,
-        _cdiv(t_m * conv.n * kk * e, burst),
-        t_m * _cdiv(w_run, burst),
-    )
+    t_m = np.broadcast_to(filter_count(t_n, q, slice_.tle_w, n_tlt, conv, arch), t_n.shape)
+    if not t_m.any():
+        return _GridResult(None, np.inf, 0, n_candidates)
+    # Cells with no filter group are masked out; pricing them with one
+    # filter keeps the dead arithmetic division-safe.
+    t_m_priced = np.maximum(t_m, 1)
 
     best_val = np.inf
     best_idx: tuple[int, int, int, int] | None = None
     n_feasible = 0
-    n_candidates = slice_.tle_r * conv.c * conv.n
-
-    rows_per_chunk = max(1, _CHUNK_CELLS // max(conv.c * conv.n, 1))
+    rows_per_chunk = max(1, _CHUNK_CELLS // (conv.c * conv.n))
     for r_start in range(1, slice_.tle_r + 1, rows_per_chunk):
-        r_stop = min(r_start + rows_per_chunk - 1, slice_.tle_r)
-        t_r = np.arange(r_start, r_stop + 1, dtype=np.int64).reshape(-1, 1, 1)
-        t_h = np.minimum((t_r - 1) * conv.s + conv.k, conv.h + 2 * conv.p)
-        eff_h = np.minimum(t_h, conv.h)
-
-        in_bytes = t_n * (t_h * t_l) * e
-        out_bytes = out_per_row * t_r
+        r_stop = min(r_start + rows_per_chunk, slice_.tle_r + 1)
+        t_r = np.arange(r_start, r_stop, dtype=np.int64).reshape(-1, 1, 1)
+        tile = tile_footprint(t_m_priced, t_n, t_r, t_c, q, conv)
         feasible = (
-            (in_bytes <= arch.mb0_bytes)
-            & (w_bytes <= arch.mb1_bytes)
-            & (out_bytes <= arch.mb2_bytes)
-            & sched_ok
+            (t_m >= 1)
+            & (tile.in_bytes <= arch.mb0_bytes)
+            & (tile.w_bytes <= arch.mb1_bytes)
+            & (tile.out_bytes <= arch.mb2_bytes)
         )
+        cost = calc_time(tile, q, conv, slice_, arch, model)
+        t_total = np.where(feasible, cost.t_total, np.inf)
 
-        cr = _cdiv(slice_.tle_r, t_r)
-        gr = _cdiv(conv.r, t_r)
-        if q is ScheduleKind.IS:
-            a_in = arch.n_tle * (cr * cc * cn)
-            a_w = a_in
-            a_out = gr * cc
-        elif q is ScheduleKind.OS:
-            a_in = arch.n_tle * (cr * cc * cn * cm)
-            a_w = a_in
-            a_out = gr * cc * gm
-        else:
-            a_in = arch.n_tle * (cr * cc * cn * cm)
-            a_w = arch.n_tle * cm
-            a_out = gr * cc * gm
-
-        # Input-tile aligned bursts at the map origin: per (channel, row)
-        # runs, merging to per-channel runs at full width and to a single
-        # run when the whole channel extent is covered.
-        full_w = eff_l == conv.l
-        full_chan = full_w & (eff_h == conv.h)
-        nb_in = np.where(
-            full_chan,
-            _cdiv(t_n * conv.h * conv.l * e, burst),
-            np.where(
-                full_w,
-                t_n * _cdiv(eff_h * conv.l * e, burst),
-                t_n * eff_h * _cdiv(eff_l * e, burst),
-            ),
-        )
-        out_full_w = t_c == conv.c
-        out_full_chan = out_full_w & (t_r == conv.r)
-        nb_out = np.where(
-            out_full_chan,
-            _cdiv(t_m * conv.r * conv.c * e, burst),
-            np.where(
-                out_full_w,
-                t_m * _cdiv(t_r * conv.c * e, burst),
-                t_m * t_r * _cdiv(t_c * e, burst),
-            ),
-        )
-
-        if model == "burst":
-            x_in = nb_in * cas + in_bytes / bw
-            x_w = nb_w * cas + w_bytes / bw
-            x_out = nb_out * cas + out_bytes / bw
-        else:
-            x_in = in_bytes / bw
-            x_w = w_bytes / bw
-            x_out = out_bytes / bw
-        t_dram = a_in * x_in + a_w * x_w + a_out * x_out
-
-        cycles = t_n * t_m * _cdiv(t_r * t_c * kk, macs)
-        mac_tiles = gm * cn * gr * cc
-        t_mac = mac_tiles * (cycles / arch.freq_hz) / total_tlts
-        t_sw = (a_in + a_w + a_out) * sw
-        t_total = np.where(feasible, t_mac + t_dram + t_sw, np.inf)
-
-        n_feasible += int(feasible.sum())
+        n_feasible += int(np.count_nonzero(feasible))
         flat = int(np.argmin(t_total))
         val = float(t_total.flat[flat])
         if val < best_val:
@@ -248,11 +148,8 @@ def _grid_search(
                 r_start + int(ir),
                 1 + int(ic),
                 1 + int(in_),
-                int(np.broadcast_to(t_m, t_total.shape)[ir, ic, in_]),
+                int(t_m[0, 0, in_]),
             )
-
-    if best_idx is None or best_val == np.inf:
-        return _GridResult(None, np.inf, n_feasible, n_candidates)
     return _GridResult(best_idx, best_val, n_feasible, n_candidates)
 
 
@@ -284,9 +181,14 @@ def _rebuild(
     t_m = get_filters(t_r, t_c, q, slice_.tle_w, n_tlt, t_n, conv, arch)
     tile = gen_tile(t_m, t_n, t_r, t_c, q, conv, arch, slice_)
     cost = calc_time(tile, q, conv, slice_, arch, model)
-    if t_m != t_m_grid or cost.t_total != res.best_total:
+    runs = tuple(calc_burst_count(kind, tile, conv, arch) for kind in TileKind)
+    if (
+        t_m != t_m_grid
+        or cost.t_total != res.best_total
+        or (cost.bursts_in, cost.bursts_w, cost.bursts_out) != runs
+    ):
         raise RuntimeError(
-            f"internal: grid and scalar cost disagree for {conv.name} "
+            f"internal: grid, scalar and run-enumerated costs disagree for {conv.name} "
             f"({q.value}, t_r={t_r}, t_c={t_c}, t_n={t_n})"
         )
     return tile, cost

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .configs import ArchConfig, ConvLayerSpec
-from .util import ceil_div
+from .util import ceil_div, minimum, select
 
 
 class TlePartitionKind(Enum):
@@ -51,7 +51,11 @@ class TleSlice:
 
 @dataclass(frozen=True)
 class TileConfig:
-    """One per-TLT tile, with its scratchpad footprints in bytes."""
+    """One per-TLT tile, with its scratchpad footprints in bytes.
+
+    The search builds one whose fields are numpy arrays to price a whole
+    grid of candidate tiles at once.
+    """
 
     t_m: int
     t_n: int
@@ -88,6 +92,29 @@ def ifm_tile_dims(t_r: int, t_c: int, k: int, s: int) -> tuple[int, int]:
     return (t_r - 1) * s + k, (t_c - 1) * s + k
 
 
+def filter_count(
+    t_n,
+    q: ScheduleKind,
+    tle_w: int,
+    n_tlt: int,
+    conv: ConvLayerSpec,
+    arch: ArchConfig,
+):
+    """Filters per weight tile for the worst-loaded TLT of a slice, or 0
+    where mb1 cannot hold them; elementwise over an array of depths t_n.
+
+    Every TLT is responsible for f = ceil(tle_w / n_tlt) filters.  IS keeps
+    all f resident at once; OS and WS cap the group by what mb1 can hold for
+    the schedule's channel depth (t_n for OS, the full depth for WS).
+    """
+    f = ceil_div(tle_w, n_tlt)
+    kk_bytes = conv.k * conv.k * conv.elem_bytes
+    if q is ScheduleKind.IS:
+        return select(f * t_n * kk_bytes <= arch.mb1_bytes, f, 0)
+    depth = t_n if q is ScheduleKind.OS else conv.n
+    return minimum(f, arch.mb1_bytes // (depth * kk_bytes))
+
+
 def get_filters(
     t_r: int,
     t_c: int,
@@ -98,30 +125,45 @@ def get_filters(
     conv: ConvLayerSpec,
     arch: ArchConfig,
 ) -> int:
-    """Filters per weight tile for the worst-loaded TLT of a slice.
-
-    Every TLT is responsible for f = ceil(tle_w / n_tlt) filters.  IS keeps
-    all f resident at once; OS and WS cap the group by what mb1 can hold for
-    the schedule's channel depth (t_n for OS, the full depth for WS).
-    """
-    f = ceil_div(tle_w, n_tlt)
+    """filter_count for one tile; raises Infeasible when no filter fits mb1."""
+    t_m = filter_count(t_n, q, tle_w, n_tlt, conv, arch)
+    if t_m >= 1:
+        return t_m
     kk_bytes = conv.k * conv.k * conv.elem_bytes
     if q is ScheduleKind.IS:
-        if f * t_n * kk_bytes > arch.mb1_bytes:
-            raise Infeasible(
-                f"is schedule needs {f * t_n * kk_bytes} weight bytes resident,"
-                f" mb1 holds {arch.mb1_bytes}"
-            )
-        return f
+        need = ceil_div(tle_w, n_tlt) * t_n * kk_bytes
+        raise Infeasible(
+            f"is schedule needs {need} weight bytes resident, mb1 holds {arch.mb1_bytes}"
+        )
     if q is ScheduleKind.OS:
-        cap = arch.mb1_bytes // (t_n * kk_bytes)
-        if cap < 1:
-            raise Infeasible(f"mb1 cannot hold one filter of depth {t_n}")
-        return min(f, cap)
-    cap = arch.mb1_bytes // (conv.n * kk_bytes)
-    if cap < 1:
-        raise Infeasible(f"mb1 cannot hold one full-depth filter of {conv.n} channels")
-    return min(f, cap)
+        raise Infeasible(f"mb1 cannot hold one filter of depth {t_n}")
+    raise Infeasible(f"mb1 cannot hold one full-depth filter of {conv.n} channels")
+
+
+def tile_footprint(t_m, t_n, t_r, t_c, q: ScheduleKind, conv: ConvLayerSpec) -> TileConfig:
+    """A tile's input window and scratchpad bytes, unchecked; elementwise
+    over arrays of tile sides.
+
+    The input window is clamped to the padded map extent; weight depth is t_n
+    for IS/OS and the full channel count for WS.
+    """
+    t_h, t_l = ifm_tile_dims(t_r, t_c, conv.k, conv.s)
+    t_h = minimum(t_h, conv.h + 2 * conv.p)
+    t_l = minimum(t_l, conv.l + 2 * conv.p)
+    e = conv.elem_bytes
+    w_depth = conv.n if q is ScheduleKind.WS else t_n
+    # Scalar factors come first so that grid temporaries stay small.
+    return TileConfig(
+        t_m=t_m,
+        t_n=t_n,
+        t_r=t_r,
+        t_c=t_c,
+        t_h=t_h,
+        t_l=t_l,
+        in_bytes=t_n * e * t_h * t_l,
+        w_bytes=t_m * w_depth * (conv.k * conv.k * e),
+        out_bytes=t_m * e * t_r * t_c,
+    )
 
 
 def gen_tile(
@@ -136,32 +178,13 @@ def gen_tile(
 ) -> TileConfig:
     """Build a tile and check it against the three scratchpads.
 
-    The input window is clamped to the padded map extent; weight depth is t_n
-    for IS/OS and the full channel count for WS.  Raises Infeasible naming
-    the violated scratchpad.
+    Raises Infeasible naming the violated scratchpad.
     """
-    t_h, t_l = ifm_tile_dims(t_r, t_c, conv.k, conv.s)
-    t_h = min(t_h, conv.h + 2 * conv.p)
-    t_l = min(t_l, conv.l + 2 * conv.p)
-    e = conv.elem_bytes
-    in_bytes = t_n * t_h * t_l * e
-    w_depth = conv.n if q is ScheduleKind.WS else t_n
-    w_bytes = t_m * w_depth * conv.k * conv.k * e
-    out_bytes = t_m * t_r * t_c * e
-    if in_bytes > arch.mb0_bytes:
-        raise Infeasible(f"in tile {in_bytes} B exceeds mb0 {arch.mb0_bytes} B")
-    if w_bytes > arch.mb1_bytes:
-        raise Infeasible(f"weight tile {w_bytes} B exceeds mb1 {arch.mb1_bytes} B")
-    if out_bytes > arch.mb2_bytes:
-        raise Infeasible(f"out tile {out_bytes} B exceeds mb2 {arch.mb2_bytes} B")
-    return TileConfig(
-        t_m=t_m,
-        t_n=t_n,
-        t_r=t_r,
-        t_c=t_c,
-        t_h=t_h,
-        t_l=t_l,
-        in_bytes=in_bytes,
-        w_bytes=w_bytes,
-        out_bytes=out_bytes,
-    )
+    tile = tile_footprint(t_m, t_n, t_r, t_c, q, conv)
+    if tile.in_bytes > arch.mb0_bytes:
+        raise Infeasible(f"in tile {tile.in_bytes} B exceeds mb0 {arch.mb0_bytes} B")
+    if tile.w_bytes > arch.mb1_bytes:
+        raise Infeasible(f"weight tile {tile.w_bytes} B exceeds mb1 {arch.mb1_bytes} B")
+    if tile.out_bytes > arch.mb2_bytes:
+        raise Infeasible(f"out tile {tile.out_bytes} B exceeds mb2 {arch.mb2_bytes} B")
+    return tile

@@ -1,99 +1,18 @@
-"""Synthetic model builders shared by the tests.
-
-The big table mirrors the convolution shapes of InceptionV3 (94 conv
-layers), with rectangular kernels replaced by square ones of the same
-reach (1x7/7x1 -> 7 with pad 3, 1x3/3x1 -> 3 with pad 1) so every layer
-fits the square-kernel layer schema.
-"""
+"""Model builders and sample loaders shared by the tests."""
 
 from __future__ import annotations
 
 import random
+from pathlib import Path
 
-from tsoplan.configs import ConvLayerSpec, ModelSpec
+from tsoplan.configs import ConvLayerSpec, ModelSpec, parse_model
 
-
-def _conv(name: str, n: int, hw: int, m: int, k: int, s: int = 1, p: int = 0) -> ConvLayerSpec:
-    out = (hw + 2 * p - k) // s + 1
-    return ConvLayerSpec(
-        name=name, n=n, h=hw, l=hw, m=m, k=k, s=s, p=p, r=out, c=out, elem_bytes=2
-    )
+SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
 
-def _inception_a(name: str, hw: int, n_in: int, pool_proj: int) -> list[ConvLayerSpec]:
-    return [
-        _conv(f"{name}_1x1", n_in, hw, 64, 1),
-        _conv(f"{name}_5x5_reduce", n_in, hw, 48, 1),
-        _conv(f"{name}_5x5", 48, hw, 64, 5, p=2),
-        _conv(f"{name}_3x3dbl_reduce", n_in, hw, 64, 1),
-        _conv(f"{name}_3x3dbl_1", 64, hw, 96, 3, p=1),
-        _conv(f"{name}_3x3dbl_2", 96, hw, 96, 3, p=1),
-        _conv(f"{name}_pool_proj", n_in, hw, pool_proj, 1),
-    ]
-
-
-def _inception_b(name: str, hw: int, n_in: int, c7: int) -> list[ConvLayerSpec]:
-    return [
-        _conv(f"{name}_1x1", n_in, hw, 192, 1),
-        _conv(f"{name}_7x7_reduce", n_in, hw, c7, 1),
-        _conv(f"{name}_7x7_1", c7, hw, c7, 7, p=3),
-        _conv(f"{name}_7x7_2", c7, hw, 192, 7, p=3),
-        _conv(f"{name}_7x7dbl_reduce", n_in, hw, c7, 1),
-        _conv(f"{name}_7x7dbl_1", c7, hw, c7, 7, p=3),
-        _conv(f"{name}_7x7dbl_2", c7, hw, c7, 7, p=3),
-        _conv(f"{name}_7x7dbl_3", c7, hw, c7, 7, p=3),
-        _conv(f"{name}_7x7dbl_4", c7, hw, 192, 7, p=3),
-        _conv(f"{name}_pool_proj", n_in, hw, 192, 1),
-    ]
-
-
-def _inception_c(name: str, hw: int, n_in: int) -> list[ConvLayerSpec]:
-    return [
-        _conv(f"{name}_1x1", n_in, hw, 320, 1),
-        _conv(f"{name}_3x3_reduce", n_in, hw, 384, 1),
-        _conv(f"{name}_3x3_a", 384, hw, 384, 3, p=1),
-        _conv(f"{name}_3x3_b", 384, hw, 384, 3, p=1),
-        _conv(f"{name}_3x3dbl_reduce", n_in, hw, 448, 1),
-        _conv(f"{name}_3x3dbl_1", 448, hw, 384, 3, p=1),
-        _conv(f"{name}_3x3dbl_2a", 384, hw, 384, 3, p=1),
-        _conv(f"{name}_3x3dbl_2b", 384, hw, 384, 3, p=1),
-        _conv(f"{name}_pool_proj", n_in, hw, 192, 1),
-    ]
-
-
-def inception_v3() -> ModelSpec:
-    layers: list[ConvLayerSpec] = [
-        _conv("conv0", 3, 299, 32, 3, s=2),
-        _conv("conv1", 32, 149, 32, 3),
-        _conv("conv2", 32, 147, 64, 3, p=1),
-        _conv("conv3", 64, 73, 80, 1),
-        _conv("conv4", 80, 73, 192, 3),
-    ]
-    layers += _inception_a("mixed5b", 35, 192, 32)
-    layers += _inception_a("mixed5c", 35, 256, 64)
-    layers += _inception_a("mixed5d", 35, 288, 64)
-    layers += [
-        _conv("mixed6a_3x3", 288, 35, 384, 3, s=2),
-        _conv("mixed6a_dbl_reduce", 288, 35, 64, 1),
-        _conv("mixed6a_dbl_1", 64, 35, 96, 3, p=1),
-        _conv("mixed6a_dbl_2", 96, 35, 96, 3, s=2),
-    ]
-    layers += _inception_b("mixed6b", 17, 768, 128)
-    layers += _inception_b("mixed6c", 17, 768, 160)
-    layers += _inception_b("mixed6d", 17, 768, 160)
-    layers += _inception_b("mixed6e", 17, 768, 192)
-    layers += [
-        _conv("mixed7a_3x3_reduce", 768, 17, 192, 1),
-        _conv("mixed7a_3x3", 192, 17, 320, 3, s=2),
-        _conv("mixed7a_7x7x3_reduce", 768, 17, 192, 1),
-        _conv("mixed7a_7x7x3_1", 192, 17, 192, 7, p=3),
-        _conv("mixed7a_7x7x3_2", 192, 17, 192, 7, p=3),
-        _conv("mixed7a_7x7x3_3", 192, 17, 192, 3, s=2),
-    ]
-    layers += _inception_c("mixed7b", 8, 1280)
-    layers += _inception_c("mixed7c", 8, 2048)
-    assert len(layers) == 94
-    return ModelSpec(name="inceptionv3", layers=tuple(layers))
+def sample_model(name: str) -> ModelSpec:
+    """A model file from samples/, e.g. sample_model("inceptionv3")."""
+    return parse_model((SAMPLES / f"{name}.json").read_text(encoding="utf-8"))
 
 
 def random_toy_model(seed: int, n_layers: int = 3) -> ModelSpec:

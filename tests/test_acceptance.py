@@ -39,7 +39,7 @@ from tsoplan.slicing import (
 from tsoplan.report import roofline_points
 from tsoplan.util import ceil_div
 
-from _models import inception_v3, random_toy_model
+from _models import random_toy_model, sample_model
 
 LAYER5 = ConvLayerSpec(
     name="l5", n=80, h=73, l=73, m=192, k=3, s=1, p=0, r=71, c=71, elem_bytes=2
@@ -251,7 +251,7 @@ def test_criterion_6_burst_aware_search_beats_volume_search():
 def test_criterion_7_roofline_roof_and_inequality():
     # 16-bit compute roof is 256 GMAC/s; no layer beats its envelope.
     start = time.monotonic()
-    model = inception_v3()
+    model = sample_model("inceptionv3")
     arch = nmp_profile()
     plan = tso(model, arch, workers=None)
     points = roofline_points(plan, model, arch)
@@ -265,7 +265,7 @@ def test_criterion_7_roofline_roof_and_inequality():
 def test_criterion_8_deterministic_parallel_planning(tmp_path, write_configs):
     # 94-layer synthetic model: byte-identical plans across thread counts,
     # single-threaded search well inside its budget.
-    model_path, arch_path = write_configs(inception_v3(), nmp_profile())
+    model_path, arch_path = write_configs(sample_model("inceptionv3"), nmp_profile())
     single = tmp_path / "plan1.json"
     threaded = tmp_path / "plan8.json"
     start = time.monotonic()

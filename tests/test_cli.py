@@ -119,6 +119,16 @@ class TestUsageErrors:
         rc = main(["plan", "--model", str(bad), "--arch", arch_path])
         assert rc == 1
 
+    @pytest.mark.parametrize("command", ["plan", "compare", "roofline"])
+    def test_unwritable_out_path_exits_1(self, toy_files, tmp_path, capsys, command):
+        model_path, arch_path = toy_files
+        out = tmp_path / "missing-dir" / "out.txt"
+        rc = main([command, "--model", model_path, "--arch", arch_path, "--out", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err[-1].startswith(f"error: cannot write {out}")
+        assert not any("Traceback" in line for line in err)
+
     def test_zero_threads(self, toy_files, capsys):
         model_path, arch_path = toy_files
         rc = main(["plan", "--model", model_path, "--arch", arch_path, "--threads", "0"])
@@ -164,6 +174,28 @@ class TestSimulateCommand:
         out.write_text(json.dumps(doc))
         rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(out)])
         assert rc == 3
+
+    def test_zero_tile_dimension_exits_1(self, toy_files, tmp_path, capsys):
+        model_path, arch_path, out = self.plan_file(toy_files, tmp_path)
+        doc = json.loads(out.read_text())
+        doc["entries"][0]["t_m"] = 0
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(out)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: plan entry 0: field 't_m' must be an integer >= 1\n"
+
+    def test_unwritable_trace_path_exits_1(self, toy_files, tmp_path, capsys):
+        model_path, arch_path, out = self.plan_file(toy_files, tmp_path)
+        capsys.readouterr()
+        rc = main(
+            [
+                "simulate", "--model", model_path, "--arch", arch_path,
+                "--plan", str(out), "--dump-trace", str(tmp_path / "missing-dir" / "t.txt"),
+            ]
+        )
+        assert rc == 1
+        assert capsys.readouterr().err.count("\n") == 1
 
     def test_layer_set_mismatch_exits_1(self, toy_files, tmp_path, write_configs, capsys):
         model_path, arch_path, out = self.plan_file(toy_files, tmp_path)

@@ -122,6 +122,17 @@ def test_unknown_arch_field_rejected():
         parse_arch(json.dumps(doc))
 
 
+@pytest.mark.parametrize("key", ["freq_hz", "cas_ns", "bw_bytes_per_s", "sw_overhead_ns"])
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1" + "0" * 400])
+def test_non_finite_arch_numbers_rejected(key, value):
+    # NaN and Infinity are not JSON, but Python's json module reads them.
+    doc = arch_to_json_dict(nmp_profile())
+    doc[key] = "PLACEHOLDER"
+    text = json.dumps(doc).replace('"PLACEHOLDER"', value)
+    with pytest.raises(ConfigError, match=f"{key} must be a finite number"):
+        parse_arch(text)
+
+
 def test_sw_overhead_optional():
     doc = arch_to_json_dict(nmp_profile())
     del doc["sw_overhead_ns"]

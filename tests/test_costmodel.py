@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from tsoplan.configs import ArchConfig, ConvLayerSpec
 from tsoplan.costmodel import (
     TileKind,
+    aligned_bursts,
     box_runs,
     calc_burst_count,
     calc_data_transfer,
@@ -15,7 +16,7 @@ from tsoplan.costmodel import (
     tile_box,
     tile_mac_time,
 )
-from tsoplan.slicing import ScheduleKind, TleSlice, TlePartitionKind, gen_tile
+from tsoplan.slicing import ScheduleKind, TleSlice, TlePartitionKind, gen_tile, tile_footprint
 from tsoplan.util import ceil_div
 
 
@@ -294,6 +295,49 @@ class TestCalcBurstCount:
             (start + length - 1) // burst - start // burst + 1 for start, length in runs
         )
         assert (got_aligned, got_addr) == (ref_aligned, ref_addr)
+
+
+class TestAlignedBurstsClosedForm:
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_run_enumeration(self, data):
+        # Padded and strided layers, partial and full-depth tiles of every
+        # schedule (WS weight tiles span the full channel depth).
+        k = data.draw(st.sampled_from((1, 2, 3, 5)))
+        p = data.draw(st.integers(0, 2))
+        s = data.draw(st.integers(1, 3))
+        lo = max(1, k - 2 * p)
+        conv = conv_for(
+            n=data.draw(st.integers(1, 5)),
+            h=data.draw(st.integers(lo, 12)),
+            l=data.draw(st.integers(lo, 12)),
+            m=data.draw(st.integers(1, 6)),
+            k=k,
+            s=s,
+            p=p,
+            e=data.draw(st.sampled_from((1, 2))),
+        )
+        arch = arch_for(burst=data.draw(st.sampled_from((8, 16, 32, 128))))
+        tile = tile_footprint(
+            data.draw(st.integers(1, conv.m)),
+            data.draw(st.integers(1, conv.n)),
+            data.draw(st.integers(1, conv.r)),
+            data.draw(st.integers(1, conv.c)),
+            data.draw(st.sampled_from(ScheduleKind)),
+            conv,
+        )
+        for kind in TileKind:
+            got = aligned_bursts(kind, tile, conv, arch)
+            assert got == calc_burst_count(kind, tile, conv, arch, "aligned")
+            assert type(got) is int
+
+    def test_full_depth_weight_tile_is_one_run(self):
+        conv = conv_for(n=8, m=8, k=3)
+        arch = arch_for(burst=128)
+        tile = tile_for(conv, arch, 2, 3, 2, 2, q=ScheduleKind.WS)
+        # 2 filters x 8 channels x 9 taps x 2 B = 288 B contiguous -> 3 bursts,
+        # where 2 separate 144 B runs would need 4.
+        assert aligned_bursts(TileKind.W, tile, conv, arch) == 3
 
 
 class TestTransferTime:

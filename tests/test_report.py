@@ -102,6 +102,30 @@ class TestPlanJson:
         with pytest.raises(ConfigError, match="t_n"):
             plan_from_json_dict(data)
 
+    @pytest.mark.parametrize(
+        "key,value",
+        [(key, 0) for key in ("t_m", "t_n", "t_r", "t_c", "t_h", "t_l")]
+        + [
+            (key, value)
+            for key in ("t_mac_us", "t_dram_us", "t_sw_us", "t_total_us")
+            for value in (float("nan"), float("inf"), -float("inf"), -1.0, 10**400)
+        ],
+    )
+    def test_zero_tile_side_or_bad_time_is_rejected(self, toy_plan, key, value):
+        _, arch, plan = toy_plan
+        data = plan_to_json_dict(plan, arch)
+        data["entries"][0][key] = value
+        with pytest.raises(ConfigError, match=key):
+            plan_from_json_dict(data)
+
+    def test_zero_counts_are_accepted(self, toy_plan):
+        # Only tile sides must be positive; move and burst counts may be 0
+        # in the file and are checked against the model by simulate.
+        _, arch, plan = toy_plan
+        data = plan_to_json_dict(plan, arch)
+        data["entries"][0]["alpha_w"] = 0
+        assert plan_from_json_dict(data).entries[0].alpha_w == 0
+
     def test_unknown_partition_is_rejected(self, toy_plan):
         _, arch, plan = toy_plan
         data = plan_to_json_dict(plan, arch)

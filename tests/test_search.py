@@ -1,9 +1,12 @@
 """Exhaustive plan search: referee parity, ordering, ties, and comparisons."""
 
+import dataclasses
 import random
 
+import numpy as np
 import pytest
 
+import tsoplan.search
 from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec, nmp_profile
 from tsoplan.costmodel import calc_time
 from tsoplan.search import (
@@ -19,9 +22,12 @@ from tsoplan.search import (
 from tsoplan.slicing import (
     Infeasible,
     ScheduleKind,
+    TileConfig,
     TlePartitionKind,
+    filter_count,
     gen_tile,
     get_filters,
+    tile_footprint,
     tle_slicing,
 )
 
@@ -125,6 +131,75 @@ class TestRefereeParity:
         arch = arch_for(mb=128, n_tle=2, n_tlt=1)  # one full-depth filter needs 144 B
         slice_ = tle_slicing(TlePartitionKind.KS, conv, 2)
         assert tlt_tiling(ScheduleKind.WS, conv, slice_, 1, arch, "burst") is None
+
+
+def _cost_row(cost, i=None):
+    values = (
+        cost.t_total, cost.t_mac, cost.t_dram, cost.t_sw,
+        cost.bursts_in, cost.bursts_w, cost.bursts_out,
+        cost.alphas.a_in, cost.alphas.a_w, cost.alphas.a_out,
+    )
+    if i is None:
+        return values
+    return tuple(np.asarray(v).flat[i if np.ndim(v) else 0].item() for v in values)
+
+
+class TestArrayPricing:
+    """The search prices tile grids through the scalar cost functions with
+    arrays in place of ints; every feasible cell must price identically."""
+
+    @pytest.mark.parametrize("kwargs,n_tle,n_tlt,mb,_model", REFEREE_CASES)
+    def test_array_calc_time_equals_scalar_bit_for_bit(self, kwargs, n_tle, n_tlt, mb, _model):
+        conv = conv_for(**kwargs)
+        arch = arch_for(mb=mb, n_tle=n_tle, n_tlt=n_tlt)
+        priced = 0
+        for p in PARTITION_ORDER:
+            try:
+                slice_ = tle_slicing(p, conv, n_tle)
+            except Infeasible:
+                continue
+            for q in SCHEDULE_ORDER:
+                tiles = []
+                for t_r in range(1, slice_.tle_r + 1):
+                    for t_c in range(1, conv.c + 1):
+                        for t_n in range(1, conv.n + 1):
+                            try:
+                                t_m = get_filters(t_r, t_c, q, slice_.tle_w, n_tlt, t_n, conv, arch)
+                                tiles.append(gen_tile(t_m, t_n, t_r, t_c, q, conv, arch, slice_))
+                            except Infeasible:
+                                continue
+                if not tiles:
+                    continue
+                side = {
+                    name: np.array([getattr(t, name) for t in tiles], dtype=np.int64)
+                    for name in ("t_m", "t_n", "t_r", "t_c")
+                }
+                counts = filter_count(side["t_n"], q, slice_.tle_w, n_tlt, conv, arch)
+                assert np.array_equal(np.broadcast_to(counts, side["t_m"].shape), side["t_m"])
+                grid = tile_footprint(side["t_m"], side["t_n"], side["t_r"], side["t_c"], q, conv)
+                for field in dataclasses.fields(TileConfig):
+                    expected = [getattr(t, field.name) for t in tiles]
+                    assert getattr(grid, field.name).tolist() == expected
+                for mode in ("burst", "noburst"):
+                    costs = calc_time(grid, q, conv, slice_, arch, mode)
+                    for i, tile in enumerate(tiles):
+                        ref = calc_time(tile, q, conv, slice_, arch, mode)
+                        assert all(type(v) in (int, float) for v in _cost_row(ref))
+                        assert _cost_row(costs, i) == _cost_row(ref)
+                priced += len(tiles)
+        assert priced > 0
+
+    def test_winner_rebuild_checks_burst_counts(self, monkeypatch):
+        # The winner's closed-form burst counts are re-counted over its byte
+        # runs; a disagreement is an internal error, never a silent plan.
+        conv = conv_for(n=3, h=10, l=10, m=8, k=3)
+        arch = arch_for(mb=1024, n_tle=4, n_tlt=2)
+        real = tsoplan.search.calc_burst_count
+        monkeypatch.setattr(
+            tsoplan.search, "calc_burst_count", lambda *args: real(*args) + 1
+        )
+        with pytest.raises(RuntimeError, match="disagree"):
+            plan_layer(conv, arch, "burst")
 
 
 class TestWholeLayerResidency:
