@@ -122,7 +122,7 @@ def _read_text(path: str) -> str:
 def _read_json(path: str):
     try:
         return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 
 
@@ -143,23 +143,21 @@ def _check_threads(threads: int | None) -> int | None:
     return threads
 
 
-def _search_kinds(args) -> tuple[TlePartitionKind | None, ScheduleKind | None]:
-    fixed_tle = TlePartitionKind(args.fixed_tle) if args.fixed_tle else None
-    fixed_tlt = ScheduleKind(args.fixed_tlt) if args.fixed_tlt else None
-    return fixed_tle, fixed_tlt
+def _search(args, model: ModelSpec, arch: ArchConfig):
+    """tso under the command's --mode, --fixed-tle, --fixed-tlt and --threads."""
+    return tso(
+        model,
+        arch,
+        mode=args.mode,
+        fixed_tle=TlePartitionKind(args.fixed_tle) if args.fixed_tle else None,
+        fixed_tlt=ScheduleKind(args.fixed_tlt) if args.fixed_tlt else None,
+        workers=_check_threads(args.threads),
+    )
 
 
 def cmd_plan(args) -> int:
     model, arch = _load_inputs(args)
-    fixed_tle, fixed_tlt = _search_kinds(args)
-    plan = tso(
-        model,
-        arch,
-        mode=args.mode,
-        fixed_tle=fixed_tle,
-        fixed_tlt=fixed_tlt,
-        workers=_check_threads(args.threads),
-    )
+    plan = _search(args, model, arch)
     sys.stdout.write(plan_table(plan, arch))
     if plan.stats.tie_layers:
         tied = ", ".join(plan.stats.tie_layers)
@@ -181,15 +179,7 @@ def cmd_compare(args) -> int:
 
 def cmd_roofline(args) -> int:
     model, arch = _load_inputs(args)
-    fixed_tle, fixed_tlt = _search_kinds(args)
-    plan = tso(
-        model,
-        arch,
-        mode=args.mode,
-        fixed_tle=fixed_tle,
-        fixed_tlt=fixed_tlt,
-        workers=_check_threads(args.threads),
-    )
+    plan = _search(args, model, arch)
     _write_text(args.out, roofline_csv(roofline_points(plan, model, arch)))
     return EXIT_OK
 

@@ -26,6 +26,9 @@ Two JSON documents drive the planner:
   and ``sw_overhead_ns`` once per tile transfer; both accept decimals, as do
   ``freq_hz`` and ``bw_bytes_per_s``.  Every other field must be an integer.
 
+Integer fields of both documents are capped at ``INT_MAX`` (2**31 - 1), so
+that the search's int64 arithmetic on them cannot overflow.
+
 Unknown fields are rejected in both documents.  Parsed documents round-trip
 through :func:`model_to_json_dict` / :func:`arch_to_json_dict` unchanged.
 """
@@ -35,7 +38,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 class ConfigError(ValueError):
@@ -44,6 +47,8 @@ class ConfigError(ValueError):
 
 # Scratchpad element widths the MAC datapath supports, in bytes.
 SUPPORTED_ELEM_BYTES = (1, 2)
+
+INT_MAX = 2**31 - 1
 
 
 @dataclass(frozen=True)
@@ -151,6 +156,8 @@ def _load_json(text: str, what: str) -> object:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal beyond Python's digit limit
+        raise ConfigError(f"{what}: {exc}") from exc
 
 
 def _require_keys(obj: dict, required: set[str], optional: set[str], what: str) -> None:
@@ -168,6 +175,8 @@ def _int_field(obj: dict, key: str, what: str, minimum: int = 1) -> int:
         raise ConfigError(f"{what}: {key} must be an integer")
     if value < minimum:
         raise ConfigError(f"{what}: {key} must be >= {minimum}, got {value}")
+    if value > INT_MAX:
+        raise ConfigError(f"{what}: {key} must be <= {INT_MAX}")
     return value
 
 
@@ -304,38 +313,8 @@ def parse_arch(text: str) -> ArchConfig:
 
 
 def model_to_json_dict(model: ModelSpec) -> dict:
-    return {
-        "name": model.name,
-        "layers": [
-            {
-                "name": conv.name,
-                "n": conv.n,
-                "h": conv.h,
-                "l": conv.l,
-                "m": conv.m,
-                "k": conv.k,
-                "s": conv.s,
-                "p": conv.p,
-                "r": conv.r,
-                "c": conv.c,
-                "elem_bytes": conv.elem_bytes,
-            }
-            for conv in model.layers
-        ],
-    }
+    return {"name": model.name, "layers": [asdict(conv) for conv in model.layers]}
 
 
 def arch_to_json_dict(arch: ArchConfig) -> dict:
-    return {
-        "n_tle": arch.n_tle,
-        "n_tlt": arch.n_tlt,
-        "mb0_bytes": arch.mb0_bytes,
-        "mb1_bytes": arch.mb1_bytes,
-        "mb2_bytes": arch.mb2_bytes,
-        "datapath_bits": arch.datapath_bits,
-        "freq_hz": arch.freq_hz,
-        "cas_ns": arch.cas_ns,
-        "bw_bytes_per_s": arch.bw_bytes_per_s,
-        "burst_bytes": arch.burst_bytes,
-        "sw_overhead_ns": arch.sw_overhead_ns,
-    }
+    return asdict(arch)

@@ -12,10 +12,15 @@ in the search statistics.
 Tile grids are priced by the same filter_count, tile_footprint and
 calc_time that price a single tile, called with numpy arrays of candidate
 sides in place of ints, so the argmin is what a plain-loop sweep would
-select.  The winner is then rebuilt through the scalar path, and its
-closed-form burst counts are re-counted over the tile's byte runs; any
-disagreement is an internal error.  Layers are
-planned independently (optionally in parallel), so plans do not depend on
+select.  Each pair's winner is then rebuilt through the scalar path, and
+its closed-form burst counts are re-counted over the tile's byte runs; any
+disagreement is an internal error.
+
+The pairs' winners form a table, one per distinct layer geometry (the layer
+without its name) and time model.  ``tso`` and ``plan_layer`` fill only the
+cells their restriction allows; ``compare_strategies`` fills the whole burst
+and noburst tables once and reduces every column over them.  Geometries are
+searched independently (optionally in parallel), so plans do not depend on
 the worker count.
 """
 
@@ -24,7 +29,7 @@ from __future__ import annotations
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -194,46 +199,63 @@ def _rebuild(
     return tile, cost
 
 
-@dataclass
-class _LayerOutcome:
-    entry: PlanEntry | None
-    attempts: list[str]
-    evaluated: int
-    infeasible: int
-    tied: bool
+@dataclass(frozen=True)
+class _Cell:
+    """One partition x schedule pair of a layer geometry's table; without
+    a slice or a tile, ``reason`` says why."""
+
+    partition: TlePartitionKind
+    schedule: ScheduleKind
+    slice: TleSlice | None
+    tile: TileConfig | None
+    cost: CostBreakdown | None
+    reason: str | None
+    n_feasible: int
+    n_candidates: int
 
 
-def _plan_layer(
+def _table(
     conv: ConvLayerSpec,
     arch: ArchConfig,
     model: TimeModel,
-    fixed_tle: TlePartitionKind | None,
-    fixed_tlt: ScheduleKind | None,
-) -> _LayerOutcome:
-    partitions = (fixed_tle,) if fixed_tle else PARTITION_ORDER
+    fixed_tle: TlePartitionKind | None = None,
+    fixed_tlt: ScheduleKind | None = None,
+) -> tuple[_Cell, ...]:
+    """The cells of the pairs a restriction allows, in canonical order."""
     schedules = (fixed_tlt,) if fixed_tlt else SCHEDULE_ORDER
-    outcome = _LayerOutcome(entry=None, attempts=[], evaluated=0, infeasible=0, tied=False)
-    for p in partitions:
+    cells = []
+    for p in (fixed_tle,) if fixed_tle else PARTITION_ORDER:
         try:
             slice_ = tle_slicing(p, conv, arch.n_tle)
         except Infeasible as exc:
-            outcome.attempts.append(f"{p.value}: {exc.reason}")
+            reason = f"{p.value}: {exc.reason}"
+            cells += [_Cell(p, q, None, None, None, reason, 0, 0) for q in schedules]
             continue
         for q in schedules:
             res = _grid_search(conv, arch, slice_, q, model, arch.n_tlt)
-            outcome.evaluated += res.n_feasible
-            outcome.infeasible += res.n_candidates - res.n_feasible
+            tile = cost = reason = None
             if res.best is None:
-                outcome.attempts.append(f"{p.value}/{q.value}: no tile fits the scratchpads")
-                continue
-            tile, cost = _rebuild(res, q, conv, slice_, arch.n_tlt, arch, model)
-            if outcome.entry is None or cost.t_total < outcome.entry.cost.t_total:
-                outcome.entry = PlanEntry(
-                    layer=conv.name, slice=slice_, tile=tile, schedule=q, cost=cost
-                )
-            elif cost.t_total == outcome.entry.cost.t_total:
-                outcome.tied = True
-    return outcome
+                reason = f"{p.value}/{q.value}: no tile fits the scratchpads"
+            else:
+                tile, cost = _rebuild(res, q, conv, slice_, arch.n_tlt, arch, model)
+            cells.append(_Cell(p, q, slice_, tile, cost, reason, res.n_feasible, res.n_candidates))
+    return tuple(cells)
+
+
+def _reduce(layer: str, cells) -> tuple[PlanEntry | None, list[str], bool]:
+    """The first strict minimum over cells in canonical order, the reasons
+    of the cells without a tile, and whether a cell tied the best so far."""
+    entry, attempts, tied = None, [], False
+    for cell in cells:
+        if cell.cost is None:
+            # A partition that cannot split the layer is reported once.
+            if cell.reason not in attempts:
+                attempts.append(cell.reason)
+        elif entry is None or cell.cost.t_total < entry.cost.t_total:
+            entry = PlanEntry(layer, cell.slice, cell.tile, cell.schedule, cell.cost)
+        elif cell.cost.t_total == entry.cost.t_total:
+            tied = True
+    return entry, attempts, tied
 
 
 def plan_layer(
@@ -244,10 +266,10 @@ def plan_layer(
     fixed_tlt: ScheduleKind | None = None,
 ) -> PlanEntry:
     """Plan a single layer; raises PlanError when nothing is feasible."""
-    outcome = _plan_layer(conv, arch, model, fixed_tle, fixed_tlt)
-    if outcome.entry is None:
-        raise PlanError([(conv.name, outcome.attempts)])
-    return outcome.entry
+    entry, attempts, _ = _reduce(conv.name, _table(conv, arch, model, fixed_tle, fixed_tlt))
+    if entry is None:
+        raise PlanError([(conv.name, attempts)])
+    return entry
 
 
 def tso(
@@ -260,62 +282,65 @@ def tso(
 ) -> PlanMap:
     """Plan every layer of a model.
 
-    workers caps layer-level parallelism; the resulting plan is identical
-    for any worker count because layers are planned independently.
+    Each distinct layer geometry is searched once; workers caps how many
+    are searched in parallel, and the plan is identical for any count.
+    Search statistics count every layer, repeated geometries included.
     """
     started = time.perf_counter()
-    outcomes = _map_layers(
-        model.layers,
-        lambda conv: _plan_layer(conv, arch, mode, fixed_tle, fixed_tlt),
-        workers,
+    tables = _map_geometries(
+        model.layers, lambda conv: _table(conv, arch, mode, fixed_tle, fixed_tlt), workers
     )
+    outcomes = [_reduce(conv.name, table) for conv, table in zip(model.layers, tables)]
     failures = [
-        (conv.name, outcome.attempts)
-        for conv, outcome in zip(model.layers, outcomes)
-        if outcome.entry is None
+        (conv.name, attempts)
+        for conv, (entry, attempts, _) in zip(model.layers, outcomes)
+        if entry is None
     ]
     if failures:
         raise PlanError(failures)
+    cells = [cell for table in tables for cell in table]
     stats = SearchStats(
-        candidates_evaluated=sum(o.evaluated for o in outcomes),
-        candidates_infeasible=sum(o.infeasible for o in outcomes),
+        candidates_evaluated=sum(cell.n_feasible for cell in cells),
+        candidates_infeasible=sum(cell.n_candidates - cell.n_feasible for cell in cells),
         wall_time_s=time.perf_counter() - started,
-        tie_layers=tuple(conv.name for conv, o in zip(model.layers, outcomes) if o.tied),
+        tie_layers=tuple(conv.name for conv, (_, _, tied) in zip(model.layers, outcomes) if tied),
     )
-    entries = {conv.name: outcome.entry for conv, outcome in zip(model.layers, outcomes)}
+    entries = {conv.name: entry for conv, (entry, _, _) in zip(model.layers, outcomes)}
     return PlanMap(model_name=model.name, mode=mode, entries=entries, stats=stats)
 
 
-def _map_layers(layers, fn, workers: int | None):
+def _map_geometries(layers, fn, workers: int | None) -> list:
+    """fn of every layer, called on up to ``workers`` threads once per
+    distinct geometry (the layer without its name)."""
+    first: dict[ConvLayerSpec, ConvLayerSpec] = {}
+    for conv in layers:
+        first.setdefault(replace(conv, name=""), conv)
+    distinct = list(first.values())
     if workers is None:
         workers = os.cpu_count() or 1
-    if workers <= 1 or len(layers) <= 1:
-        return [fn(conv) for conv in layers]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, layers))
+    if workers <= 1 or len(distinct) <= 1:
+        results = [fn(conv) for conv in distinct]
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            results = list(pool.map(fn, distinct))
+    by_geometry = dict(zip(first, results))
+    return [by_geometry[replace(conv, name="")] for conv in layers]
 
 
-COMPARE_COLUMNS = (
-    "tso_burst",
-    "tso_noburst",
-    "fixed_ks",
-    "fixed_ksofm",
-    "fixed_ofm",
-    "fixed_is",
-    "fixed_os",
-    "fixed_ws",
+COMPARE_COLUMNS = ("tso_burst", "tso_noburst") + tuple(
+    f"fixed_{kind.value}" for kind in (*PARTITION_ORDER, *SCHEDULE_ORDER)
 )
 
-_COLUMN_RESTRICTIONS: dict[str, tuple[TimeModel, TlePartitionKind | None, ScheduleKind | None]] = {
-    "tso_burst": ("burst", None, None),
-    "tso_noburst": ("noburst", None, None),
-    "fixed_ks": ("burst", TlePartitionKind.KS, None),
-    "fixed_ksofm": ("burst", TlePartitionKind.KS_OFM, None),
-    "fixed_ofm": ("burst", TlePartitionKind.OFM, None),
-    "fixed_is": ("burst", None, ScheduleKind.IS),
-    "fixed_os": ("burst", None, ScheduleKind.OS),
-    "fixed_ws": ("burst", None, ScheduleKind.WS),
-}
+
+def _column_cells(column: str, burst: tuple[_Cell, ...], noburst: tuple[_Cell, ...]):
+    """The cells a compare column reduces over: a whole table for the free
+    searches, the burst cells of one partition or schedule otherwise."""
+    if column == "tso_burst":
+        return burst
+    if column == "tso_noburst":
+        return noburst
+    kind = column.removeprefix("fixed_")
+    return [cell for cell in burst if kind in (cell.partition.value, cell.schedule.value)]
 
 
 @dataclass
@@ -339,27 +364,29 @@ class StrategyComparison:
 def compare_strategies(
     model: ModelSpec, arch: ArchConfig, workers: int | None = None
 ) -> StrategyComparison:
+    """The free burst search against the noburst search and every fixed
+    partition and schedule.  Each distinct layer geometry gets one burst and
+    one noburst table (18 sweeps); each column reduces over them as ``tso``
+    would under its restriction, and the noburst winner is re-costed."""
+    tables = _map_geometries(
+        model.layers,
+        lambda conv: (_table(conv, arch, "burst"), _table(conv, arch, "noburst")),
+        workers,
+    )
     cells: dict[str, dict[str, float | None]] = {conv.name: {} for conv in model.layers}
     reasons: dict[tuple[str, str], str] = {}
-
-    for column in COMPARE_COLUMNS:
-        time_model, fixed_tle, fixed_tlt = _COLUMN_RESTRICTIONS[column]
-        outcomes = _map_layers(
-            model.layers,
-            lambda conv: _plan_layer(conv, arch, time_model, fixed_tle, fixed_tlt),
-            workers,
-        )
-        for conv, outcome in zip(model.layers, outcomes):
-            if outcome.entry is None:
-                cells[conv.name][column] = None
-                reasons[(conv.name, column)] = "; ".join(outcome.attempts)
-                continue
-            entry = outcome.entry
-            if time_model == "burst":
-                cells[conv.name][column] = entry.cost.t_total
-            else:
+    for conv, (burst, noburst) in zip(model.layers, tables):
+        row = cells[conv.name]
+        for column in COMPARE_COLUMNS:
+            entry, attempts, _ = _reduce(conv.name, _column_cells(column, burst, noburst))
+            if entry is None:
+                row[column] = None
+                reasons[(conv.name, column)] = "; ".join(attempts)
+            elif column == "tso_noburst":
                 recost = calc_time(entry.tile, entry.schedule, conv, entry.slice, arch, "burst")
-                cells[conv.name][column] = recost.t_total
+                row[column] = recost.t_total
+            else:
+                row[column] = entry.cost.t_total
 
     totals: dict[str, float | None] = {}
     for column in COMPARE_COLUMNS:

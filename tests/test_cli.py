@@ -4,6 +4,7 @@ import dataclasses
 import json
 import shutil
 import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -129,6 +130,28 @@ class TestUsageErrors:
         assert err[-1].startswith(f"error: cannot write {out}")
         assert not any("Traceback" in line for line in err)
 
+    @pytest.mark.parametrize("key", ["n", "m"])
+    def test_layer_integer_beyond_int32_exits_1(self, toy_files, tmp_path, capsys, key):
+        model_path, arch_path = toy_files
+        doc = json.loads(Path(model_path).read_text())
+        doc["layers"][0][key] = 10**400
+        big = tmp_path / "big.json"
+        big.write_text(json.dumps(doc))
+        for command in ("plan", "compare"):
+            rc = main([command, "--model", str(big), "--arch", arch_path])
+            assert rc == 1
+            assert capsys.readouterr().err == f"error: layers[0]: {key} must be <= 2147483647\n"
+
+    def test_arch_integer_beyond_int32_exits_1(self, toy_files, tmp_path, capsys):
+        model_path, arch_path = toy_files
+        doc = json.loads(Path(arch_path).read_text())
+        doc["mb1_bytes"] = 2**31
+        big = tmp_path / "arch.json"
+        big.write_text(json.dumps(doc))
+        rc = main(["plan", "--model", model_path, "--arch", str(big)])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: arch: mb1_bytes must be <= 2147483647\n"
+
     def test_zero_threads(self, toy_files, capsys):
         model_path, arch_path = toy_files
         rc = main(["plan", "--model", model_path, "--arch", arch_path, "--threads", "0"])
@@ -184,6 +207,19 @@ class TestSimulateCommand:
         rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(out)])
         assert rc == 1
         assert capsys.readouterr().err == "error: plan entry 0: field 't_m' must be an integer >= 1\n"
+
+    def test_integer_literal_beyond_digit_limit_exits_1(self, toy_files, tmp_path, capsys):
+        # Python refuses to read integer literals of more than 4300 digits.
+        model_path, arch_path, out = self.plan_file(toy_files, tmp_path)
+        doc = json.loads(out.read_text())
+        doc["entries"][0]["t_m"] = "PLACEHOLDER"
+        out.write_text(json.dumps(doc).replace('"PLACEHOLDER"', "1" * 5000))
+        capsys.readouterr()
+        rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(out)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {out} is not valid JSON: ")
+        assert err.count("\n") == 1
 
     def test_unwritable_trace_path_exits_1(self, toy_files, tmp_path, capsys):
         model_path, arch_path, out = self.plan_file(toy_files, tmp_path)

@@ -133,6 +133,45 @@ def test_non_finite_arch_numbers_rejected(key, value):
         parse_arch(text)
 
 
+ARCH_INT_KEYS = (
+    "n_tle", "n_tlt", "mb0_bytes", "mb1_bytes", "mb2_bytes", "datapath_bits", "burst_bytes",
+)
+
+
+@pytest.mark.parametrize("key", sorted(set(VALID_LAYER) - {"name"}))
+@pytest.mark.parametrize("value", [2**31, 10**400], ids=["2**31", "10**400"])
+def test_layer_integers_beyond_int32_rejected(key, value):
+    doc = valid_model_doc()
+    doc["layers"][0][key] = value
+    with pytest.raises(ConfigError, match=rf"^layers\[0\]: {key} must be <= 2147483647$"):
+        parse_model(json.dumps(doc))
+
+
+@pytest.mark.parametrize("key", ARCH_INT_KEYS)
+@pytest.mark.parametrize("value", [2**31, 10**400], ids=["2**31", "10**400"])
+def test_arch_integers_beyond_int32_rejected(key, value):
+    doc = arch_to_json_dict(nmp_profile())
+    doc[key] = value
+    with pytest.raises(ConfigError, match=rf"^arch: {key} must be <= 2147483647$"):
+        parse_arch(json.dumps(doc))
+
+
+def test_int32_maximum_is_accepted():
+    doc = valid_model_doc()
+    doc["layers"][0]["m"] = 2**31 - 1
+    assert parse_model(json.dumps(doc)).layers[0].m == 2**31 - 1
+    arch = arch_to_json_dict(nmp_profile())
+    arch["mb0_bytes"] = 2**31 - 1
+    assert parse_arch(json.dumps(arch)).mb0_bytes == 2**31 - 1
+
+
+def test_integer_literal_beyond_digit_limit_rejected():
+    # Python refuses to read integer literals of more than 4300 digits.
+    text = json.dumps(valid_model_doc()).replace('"n": 3', '"n": ' + "1" * 5000)
+    with pytest.raises(ConfigError, match="^model: "):
+        parse_model(text)
+
+
 def test_sw_overhead_optional():
     doc = arch_to_json_dict(nmp_profile())
     del doc["sw_overhead_ns"]

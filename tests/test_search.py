@@ -224,6 +224,18 @@ class TestPlanErrors:
         assert err.value.failures[0][0] == conv.name
         assert err.value.failures[0][1]  # the attempted pair is recorded
 
+    def test_unsplittable_partition_is_reported_once(self):
+        # One reason per partition that cannot split the layer, however
+        # many schedules the restriction leaves; the compare column keeps it.
+        conv = conv_for(name="a")
+        arch = arch_for(n_tle=3)
+        reason = "ksofm: ksofm partitioning needs an even TLE count, got 3"
+        with pytest.raises(PlanError) as err:
+            plan_layer(conv, arch, "burst", fixed_tle=TlePartitionKind.KS_OFM)
+        assert err.value.failures == [("a", [reason])]
+        cmp_ = compare_strategies(ModelSpec(name="m", layers=(conv,)), arch, workers=1)
+        assert cmp_.reasons == {("a", "fixed_ksofm"): reason}
+
     def test_ws_with_tiny_weight_buffer(self):
         conv = conv_for(n=8, h=6, l=6, m=8, k=3)
         arch = arch_for(mb=128, n_tle=2, n_tlt=1)
@@ -356,3 +368,128 @@ class TestDominanceOnRandomModels:
                 continue
             entry = plan_layer(conv, arch, "burst")
             assert entry.cost.t_total == ref[0]
+
+
+class TestSweepCounts:
+    """Each distinct layer geometry is swept once per pair a call needs."""
+
+    @pytest.fixture()
+    def sweeps(self, monkeypatch):
+        calls = []
+        real = tsoplan.search._grid_search
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tsoplan.search, "_grid_search", counted)
+        return calls
+
+    # Two geometries, each under two names.
+    MODEL = ModelSpec(
+        name="m",
+        layers=(
+            conv_for(name="a"),
+            conv_for(name="b", m=16),
+            conv_for(name="a2"),
+            conv_for(name="b2", m=16),
+        ),
+    )
+
+    def test_compare_sweeps_18_per_geometry(self, sweeps):
+        compare_strategies(self.MODEL, arch_for(n_tle=4), workers=1)
+        assert len(sweeps) == 18 * 2
+
+    def test_compare_skips_the_unsplittable_partition(self, sweeps):
+        # KS_OFM needs an even TLE count: 6 pairs per time model remain.
+        compare_strategies(self.MODEL, arch_for(n_tle=3), workers=1)
+        assert len(sweeps) == 12 * 2
+
+    def test_tso_sweeps_9_per_geometry(self, sweeps):
+        tso(self.MODEL, arch_for(n_tle=4), workers=2)
+        assert len(sweeps) == 9 * 2
+
+    def test_single_pair_sweeps_once_per_geometry(self, sweeps):
+        tso(
+            self.MODEL, arch_for(n_tle=4), workers=1,
+            fixed_tle=TlePartitionKind.OFM, fixed_tlt=ScheduleKind.WS,
+        )
+        assert len(sweeps) == 2
+
+    def test_plan_layer_with_fixed_partition_sweeps_3(self, sweeps):
+        plan_layer(conv_for(), arch_for(n_tle=4), "burst", fixed_tle=TlePartitionKind.KS)
+        assert len(sweeps) == 3
+
+
+class TestCompareColumnReferee:
+    """Every compare column equals the plain-loop search under its restriction."""
+
+    @pytest.mark.parametrize("kwargs,n_tle,n_tlt,mb,_model", REFEREE_CASES)
+    def test_columns_match_plain_loop(self, kwargs, n_tle, n_tlt, mb, _model):
+        conv = conv_for(**kwargs)
+        arch = arch_for(mb=mb, n_tle=n_tle, n_tlt=n_tlt)
+        cmp_ = compare_strategies(ModelSpec(name="m", layers=(conv,)), arch, workers=1)
+        expected = {
+            "tso_burst": brute_plan_layer(conv, arch, "burst"),
+            "tso_noburst": brute_plan_layer(conv, arch, "noburst"),
+        }
+        for p in PARTITION_ORDER:
+            expected[f"fixed_{p.value}"] = brute_plan_layer(conv, arch, "burst", partitions=(p,))
+        for q in SCHEDULE_ORDER:
+            expected[f"fixed_{q.value}"] = brute_plan_layer(conv, arch, "burst", schedules=(q,))
+        assert tuple(expected) == COMPARE_COLUMNS
+        for column, ref in expected.items():
+            got = cmp_.cells[conv.name][column]
+            if ref is None:
+                assert got is None
+                assert cmp_.reasons[(conv.name, column)]
+                continue
+            total, p, q, tile, _ = ref
+            if column == "tso_noburst":
+                slice_ = tle_slicing(p, conv, arch.n_tle)
+                total = calc_time(tile, q, conv, slice_, arch, "burst").t_total
+            assert got == total, column
+            assert (conv.name, column) not in cmp_.reasons
+
+
+class TestDuplicateGeometries:
+    """Renamed copies of a layer share its search and get the same plan."""
+
+    ARCH = arch_for(n_tle=2, n_tlt=2)
+
+    @pytest.fixture(scope="class")
+    def model(self):
+        # Seed 6 on this fabric has one tied layer (l0) and two untied ones.
+        base = random_toy_model(6).layers
+        layers = []
+        for conv in base:
+            layers += [conv, dataclasses.replace(conv, name=conv.name + "_dup")]
+        layers.append(dataclasses.replace(base[0], name="l0_again"))
+        return ModelSpec(name="dups", layers=tuple(layers))
+
+    def test_duplicates_get_equal_entries_and_tie_flags(self, model):
+        plan = tso(model, self.ARCH, workers=1)
+        ties = set(plan.stats.tie_layers)
+        assert ties == {"l0", "l0_dup", "l0_again"}
+        for name, entry in plan.entries.items():
+            original = name.split("_")[0]
+            assert dataclasses.replace(entry, layer=original) == plan.entries[original]
+            assert (name in ties) == (original in ties)
+
+    def test_stats_count_every_layer(self, model):
+        plan = tso(model, self.ARCH, workers=1)
+        singles = [
+            tso(ModelSpec(name="one", layers=(conv,)), self.ARCH, workers=1).stats
+            for conv in model.layers
+        ]
+        assert plan.stats.candidates_evaluated == sum(s.candidates_evaluated for s in singles)
+        assert plan.stats.candidates_infeasible == sum(s.candidates_infeasible for s in singles)
+
+    def test_worker_count_does_not_change_entries(self, model):
+        sequential = tso(model, self.ARCH, workers=1)
+        threaded = tso(model, self.ARCH, workers=4)
+        assert sequential.entries == threaded.entries
+        assert sequential.stats.tie_layers == threaded.stats.tie_layers
+        assert compare_strategies(model, self.ARCH, workers=1) == compare_strategies(
+            model, self.ARCH, workers=4
+        )
