@@ -1,20 +1,22 @@
 """Exhaustive search for the fastest partition, schedule, and tile shape.
 
 For every layer the planner tries each TLE partition and each schedule, and
-inside every such pair prices all tile shapes (t_r up to the slice's rows,
-t_c up to the output width, t_n up to the channel depth; t_m follows from
-the schedule).  There is no pruning beyond skipping tiles that do not fit a
-scratchpad, and no tie-breaking heuristic: the first candidate found in
-canonical enumeration order wins, and later candidates replace it only when
+inside every such pair prices every tile shape that fits the scratchpads
+(t_r up to the slice's rows, t_c up to the output width, t_n up to the
+channel depth; t_m follows from the schedule).  The scratchpad inequalities
+bound which shapes are priced, so a search's time and memory follow the
+scratchpad sizes rather than the layer's; no shape that fits is skipped.
+There is no tie-breaking heuristic: the first candidate in canonical
+(t_r, t_c, t_n) order wins, and later candidates replace it only when
 strictly cheaper.  Exact ties between partition/schedule pairs are flagged
 in the search statistics.
 
 Tile grids are priced by the same filter_count, tile_footprint and
 calc_time that price a single tile, called with numpy arrays of candidate
-sides in place of ints, so the argmin is what a plain-loop sweep would
-select.  Each pair's winner is then rebuilt through the scalar path, and
-its closed-form burst counts are re-counted over the tile's byte runs; any
-disagreement is an internal error.
+sides in place of ints, so the winner is what a plain-loop sweep over the
+whole tile box would select.  Each pair's winner is then rebuilt through
+the scalar path, and its closed-form burst counts are re-counted over the
+tile's byte runs; any disagreement is an internal error.
 
 The pairs' winners form a table, one per distinct layer geometry (the layer
 without its name) and time model.  ``tso`` and ``plan_layer`` fill only the
@@ -47,12 +49,16 @@ from .slicing import (
     tile_footprint,
     tle_slicing,
 )
+from .util import minimum, select
 
 PARTITION_ORDER = (TlePartitionKind.KS, TlePartitionKind.KS_OFM, TlePartitionKind.OFM)
 SCHEDULE_ORDER = (ScheduleKind.IS, ScheduleKind.OS, ScheduleKind.WS)
 
-# Cap on grid cells evaluated per vectorized chunk, to bound temporaries.
-_CHUNK_CELLS = 1 << 20
+# Cap on grid cells priced per vectorized chunk, to bound temporaries.  A
+# grid whose scratchpad-capped box fits one chunk is priced as that box:
+# skipping its infeasible cells would save less than the staircase's
+# bookkeeping and extra chunks cost.
+_CHUNK_CELLS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,6 +106,13 @@ class _GridResult:
     n_candidates: int
 
 
+def _side_cap(window, k: int, s: int, extent: int, limit: int):
+    """Largest tile side t <= limit whose input window min((t - 1)*s + k,
+    extent) fits ``window`` elements (below 1 if none); elementwise over
+    windows."""
+    return minimum(select(extent <= window, limit, (window - k) // s + 1), limit)
+
+
 def _grid_search(
     conv: ConvLayerSpec,
     arch: ArchConfig,
@@ -108,54 +121,122 @@ def _grid_search(
     model: TimeModel,
     n_tlt: int,
 ) -> _GridResult:
-    """Price every tile candidate for one partition/schedule pair.
+    """Price every tile candidate that can fit, for one partition/schedule pair.
 
-    The (t_r, t_c, t_n) grid is built as broadcast index arrays, in chunks
-    of whole t_r rows, and priced by filter_count, tile_footprint and
-    calc_time exactly as they price a single tile.  Cells without a filter
-    group or overflowing a scratchpad are masked out; the first strict
-    minimum in (t_r, t_c, t_n) order wins.
+    The scratchpad inequalities gen_tile checks bound the search before any
+    cell is priced.  A 1x1 tile with one filter caps each axis (mb0 caps t_n,
+    t_r and t_c through the input window, mb2 caps t_r and t_c), so no array
+    grows with the layer.  A capped box of at most ``_CHUNK_CELLS`` cells is
+    priced as one broadcast.  A larger one is walked as a staircase: t_m
+    depends on t_n alone, and the mb0 and mb2 bytes grow with t_c, so every
+    (t_r, t_n) row that fits at t_c = 1 fits a t_c prefix 1..c_max.  Rows
+    are priced in bands of similar c_max, each band a (rows, 1) x (1, K)
+    broadcast in chunks of at most ``_CHUNK_CELLS`` cells.
+
+    Every priced cell goes through filter_count, tile_footprint and
+    calc_time exactly as a single tile does, and cells without a filter
+    group or overflowing a scratchpad are masked out, so the bounds need
+    only over-approximate.  The first strict minimum in (t_r, t_c, t_n)
+    order wins.
     """
     n_candidates = slice_.tle_r * conv.c * conv.n
-    t_c = np.arange(1, conv.c + 1, dtype=np.int64).reshape(1, -1, 1)
-    t_n = np.arange(1, conv.n + 1, dtype=np.int64).reshape(1, 1, -1)
+    e, k, s = conv.elem_bytes, conv.k, conv.s
+    h_pad, l_pad = conv.h + 2 * conv.p, conv.l + 2 * conv.p
+    h_1, l_1 = min(k, h_pad), min(k, l_pad)  # input window of a 1x1 tile
+    n_hi = min(conv.n, arch.mb0_bytes // (e * h_1 * l_1))
+    out_cap = arch.mb2_bytes // e  # one filter's t_r * t_c
+    r_hi = _side_cap(arch.mb0_bytes // (e * l_1), k, s, h_pad, min(slice_.tle_r, out_cap))
+    c_hi = _side_cap(arch.mb0_bytes // (e * h_1), k, s, l_pad, min(conv.c, out_cap))
+    if min(n_hi, r_hi, c_hi) < 1:
+        return _GridResult(None, np.inf, 0, n_candidates)
+    t_n = np.arange(1, n_hi + 1, dtype=np.int64)
     t_m = np.broadcast_to(filter_count(t_n, q, slice_.tle_w, n_tlt, conv, arch), t_n.shape)
     if not t_m.any():
         return _GridResult(None, np.inf, 0, n_candidates)
-    # Cells with no filter group are masked out; pricing them with one
-    # filter keeps the dead arithmetic division-safe.
-    t_m_priced = np.maximum(t_m, 1)
+
+    if r_hi * c_hi * n_hi <= _CHUNK_CELLS:
+        t_r = np.arange(1, r_hi + 1, dtype=np.int64).reshape(-1, 1, 1)
+        t_c = np.arange(1, c_hi + 1, dtype=np.int64).reshape(1, -1, 1)
+        chunks = [(t_m.reshape(1, 1, -1), t_n.reshape(1, 1, -1), t_r, t_c)]
+    else:
+        chunks = _staircase(t_m, t_n, r_hi, c_hi, conv, arch)
 
     best_val = np.inf
-    best_idx: tuple[int, int, int, int] | None = None
+    best_key: tuple[int, int, int] | None = None
     n_feasible = 0
-    rows_per_chunk = max(1, _CHUNK_CELLS // (conv.c * conv.n))
-    for r_start in range(1, slice_.tle_r + 1, rows_per_chunk):
-        r_stop = min(r_start + rows_per_chunk, slice_.tle_r + 1)
-        t_r = np.arange(r_start, r_stop, dtype=np.int64).reshape(-1, 1, 1)
-        tile = tile_footprint(t_m_priced, t_n, t_r, t_c, q, conv)
+    for m_, n_, r_, c_ in chunks:
+        # Cells with no filter group are masked out; pricing them with one
+        # filter keeps the dead arithmetic division-safe.
+        tile = tile_footprint(np.maximum(m_, 1), n_, r_, c_, q, conv)
         feasible = (
-            (t_m >= 1)
+            (m_ >= 1)
             & (tile.in_bytes <= arch.mb0_bytes)
             & (tile.w_bytes <= arch.mb1_bytes)
             & (tile.out_bytes <= arch.mb2_bytes)
         )
         cost = calc_time(tile, q, conv, slice_, arch, model)
         t_total = np.where(feasible, cost.t_total, np.inf)
-
         n_feasible += int(np.count_nonzero(feasible))
         flat = int(np.argmin(t_total))
         val = float(t_total.flat[flat])
-        if val < best_val:
-            ir, ic, in_ = np.unravel_index(flat, t_total.shape)
-            best_val = val
-            best_idx = (
-                r_start + int(ir),
-                1 + int(ic),
-                1 + int(in_),
-                int(t_m[0, 0, in_]),
-            )
-    return _GridResult(best_idx, best_val, n_feasible, n_candidates)
+        if val > best_val or val == np.inf:
+            continue
+        if t_total.ndim == 3:
+            # A box in C order is in (t_r, t_c, t_n) order: argmin is first.
+            key = tuple(1 + int(i) for i in np.unravel_index(flat, t_total.shape))
+        else:
+            # Band rows are not in (t_r, t_n) order: sort the band's minima.
+            rows, cols = np.nonzero(t_total == val)
+            keys = (r_[rows, 0], c_[0, cols], n_[rows, 0])
+            i = np.lexsort(keys[::-1])[0]
+            key = (int(keys[0][i]), int(keys[1][i]), int(keys[2][i]))
+        if val < best_val or key < best_key:
+            best_val, best_key = val, key
+    if best_key is None:
+        return _GridResult(None, np.inf, n_feasible, n_candidates)
+    t_r_, t_c_, t_n_ = best_key
+    return _GridResult((t_r_, t_c_, t_n_, int(t_m[t_n_ - 1])), best_val, n_feasible, n_candidates)
+
+
+def _staircase(t_m, t_n, r_hi: int, c_hi: int, conv: ConvLayerSpec, arch: ArchConfig):
+    """(t_m, t_n, t_r, t_c) chunks covering every tile that fits: the
+    (t_r, t_n) rows that fit at t_c = 1, each with its t_c prefix, in bands
+    of similar prefix length and at most ``_CHUNK_CELLS`` cells."""
+    e, k, s = conv.elem_bytes, conv.k, conv.s
+    h_pad, l_pad = conv.h + 2 * conv.p, conv.l + 2 * conv.p
+    # Per depth, the rows t_r that fit with t_c = 1; none without a filter.
+    live = t_m >= 1
+    t_m = np.maximum(t_m, 1)
+    r_max = np.minimum(
+        arch.mb2_bytes // (e * t_m),
+        _side_cap(arch.mb0_bytes // (e * min(k, l_pad) * t_n), k, s, h_pad, r_hi),
+    )
+    r_max = np.maximum(np.where(live, r_max, 0), 0)
+    n_rows = int(r_max.sum())
+    row_n = np.repeat(t_n, r_max)
+    row_m = np.repeat(t_m, r_max)
+    row_r = np.arange(1, n_rows + 1, dtype=np.int64) - np.repeat(np.cumsum(r_max) - r_max, r_max)
+    row_h = np.minimum((row_r - 1) * s + k, h_pad)
+    c_max = np.minimum(
+        arch.mb2_bytes // (e * row_m * row_r),
+        _side_cap(arch.mb0_bytes // (e * row_n * row_h), k, s, l_pad, c_hi),
+    )
+    # Every row fits t_c = 1, so c_max >= 1.  A band is priced at the
+    # widest prefix it holds, so it takes only the rows whose prefix is over
+    # half that width: at most half of its cells are infeasible.
+    order = np.argsort(c_max)
+    c_sorted = c_max[order]
+    stop = n_rows
+    while stop:
+        width = int(c_sorted[stop - 1])
+        start = int(np.searchsorted(c_sorted, width // 2, side="right"))
+        for c0 in range(0, width, _CHUNK_CELLS):
+            t_c = np.arange(c0 + 1, min(c0 + _CHUNK_CELLS, width) + 1, dtype=np.int64)
+            step = max(1, _CHUNK_CELLS // t_c.size)
+            for r0 in range(start, stop, step):
+                rows = order[r0 : min(r0 + step, stop)]
+                yield row_m[rows, None], row_n[rows, None], row_r[rows, None], t_c[None, :]
+        stop = start
 
 
 def tlt_tiling(

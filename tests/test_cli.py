@@ -2,14 +2,17 @@
 
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import tsoplan
 from tsoplan.cli import main
-from tsoplan.configs import ArchConfig, ModelSpec
+from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec
 
 from _models import random_toy_model
 
@@ -157,6 +160,39 @@ class TestUsageErrors:
         rc = main(["plan", "--model", model_path, "--arch", arch_path, "--threads", "0"])
         assert rc == 1
         assert "--threads" in capsys.readouterr().err
+
+
+class TestBoundedSearch:
+    # Run in a child process whose address space is capped, so a search that
+    # sizes its arrays by the layer fails with MemoryError instead of
+    # allocating gigabytes.  One BLAS thread keeps numpy's own start-up
+    # reservations small on machines with many cores.
+    CHILD = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+        "from tsoplan.cli import main\n"
+        "sys.exit(main(sys.argv[1:]))\n"
+    )
+
+    def test_deepest_accepted_layer_plans_under_2_gib(self, write_configs, nmp, tmp_path):
+        conv = ConvLayerSpec(
+            name="deep", n=2**31 - 1, h=6, l=6, m=8, k=3, s=1, p=1, r=6, c=6, elem_bytes=2
+        )
+        model_path, arch_path = write_configs(ModelSpec(name="deep", layers=(conv,)), nmp)
+        out = tmp_path / "plan.json"
+        src = str(Path(tsoplan.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "plan", "--model", model_path,
+             "--arch", arch_path, "--out", str(out), "--threads", "1"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        entry, = json.loads(out.read_text())["entries"]
+        assert entry["layer"] == "deep"
+        assert 1 <= entry["t_n"] <= nmp.mb0_bytes // (2 * 3 * 3)
 
 
 class TestSimulateCommand:

@@ -5,6 +5,7 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import tsoplan.search
 from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec, nmp_profile
@@ -31,7 +32,7 @@ from tsoplan.slicing import (
     tle_slicing,
 )
 
-from _models import random_toy_model
+from _models import random_toy_model, sample_model
 
 
 def conv_for(name="t", n=4, h=16, l=16, m=8, k=3, s=1, p=0, e=2):
@@ -493,3 +494,180 @@ class TestDuplicateGeometries:
         assert compare_strategies(model, self.ARCH, workers=1) == compare_strategies(
             model, self.ARCH, workers=4
         )
+
+
+def plain_grid(conv, arch, slice_, q, model):
+    """Plain loop over the whole (t_r, t_c, t_n) box of one pair: the winner
+    (t_r, t_c, t_n, t_m), its total, the feasible and the total cell counts,
+    plus every feasible cell's total (for the coverage checks)."""
+    best, best_total, totals = None, np.inf, {}
+    for t_r in range(1, slice_.tle_r + 1):
+        for t_c in range(1, conv.c + 1):
+            for t_n in range(1, conv.n + 1):
+                try:
+                    t_m = get_filters(t_r, t_c, q, slice_.tle_w, arch.n_tlt, t_n, conv, arch)
+                    tile = gen_tile(t_m, t_n, t_r, t_c, q, conv, arch, slice_)
+                except Infeasible:
+                    continue
+                total = calc_time(tile, q, conv, slice_, arch, model).t_total
+                totals[(t_r, t_c, t_n)] = total
+                if total < best_total:
+                    best, best_total = (t_r, t_c, t_n, t_m), total
+    n_candidates = slice_.tle_r * conv.c * conv.n
+    return (best, best_total, len(totals), n_candidates), totals
+
+
+# The search as built, and with chunks so small that every grid of more
+# than 64 or 3 cells is walked as a staircase.
+SEARCH_PATHS = {
+    "as_built": {},
+    "staircase": {"_CHUNK_CELLS": 64},
+    "small_chunks": {"_CHUNK_CELLS": 3},
+}
+
+
+def grid_results(conv, arch, slice_, q, model):
+    """_grid_search's result on every search path."""
+    results = {}
+    for name, constants in SEARCH_PATHS.items():
+        with pytest.MonkeyPatch.context() as mp:
+            for constant, value in constants.items():
+                mp.setattr(tsoplan.search, constant, value)
+            res = tsoplan.search._grid_search(conv, arch, slice_, q, model, arch.n_tlt)
+        results[name] = (res.best, res.best_total, res.n_feasible, res.n_candidates)
+    return results
+
+
+def arch_with(mb0, mb1, mb2, n_tle=1, n_tlt=1, cas_ns=14.0, sw_ns=0.0):
+    return dataclasses.replace(
+        arch_for(n_tle=n_tle, n_tlt=n_tlt, cas_ns=cas_ns, sw_ns=sw_ns),
+        mb0_bytes=mb0, mb1_bytes=mb1, mb2_bytes=mb2,
+    )
+
+
+# Named grids for what the drawn ones may miss: (conv, arch, partition, schedule, model).
+FEATURE_CASES = {
+    # mb1 holds all 32 filters up to depth 16, but mb2 holds only 16
+    # one-pixel outputs, which mb1 brings t_m down to from depth 31 on.
+    "os_mb2_binds": (
+        conv_for(n=40, h=4, l=4, m=32, k=1), arch_with(8192, 1024, 32),
+        TlePartitionKind.KS, ScheduleKind.OS, "burst",
+    ),
+    # Two cells tie exactly: (11, 4, 2) and (11, 6, 1).  The first in
+    # (t_r, t_c, t_n) order wins, not the first in (t_r, t_n, t_c) order.
+    "exact_tie": (
+        conv_for(n=2, h=9, l=10, m=2, k=1, p=1), arch_with(256, 256, 256, n_tle=2, sw_ns=100.0),
+        TlePartitionKind.KS, ScheduleKind.WS, "noburst",
+    ),
+    "strided_padded_bytes": (
+        conv_for(n=5, h=13, l=11, m=6, k=3, s=2, p=1, e=1),
+        arch_with(300, 200, 96, n_tle=2, n_tlt=2),
+        TlePartitionKind.OFM, ScheduleKind.IS, "burst",
+    ),
+    "nothing_fits": (
+        conv_for(n=4, h=6, l=6, m=4, k=3), arch_with(8192, 64, 8192),
+        TlePartitionKind.KS, ScheduleKind.WS, "burst",
+    ),
+}
+
+
+class TestEnumerationReferee:
+    """_grid_search returns what a plain loop over the whole tile box returns:
+    the winner, its total and the feasible and total cell counts."""
+
+    @pytest.mark.parametrize("kwargs,n_tle,n_tlt,mb,model", REFEREE_CASES)
+    def test_referee_cases(self, kwargs, n_tle, n_tlt, mb, model):
+        conv = conv_for(**kwargs)
+        arch = arch_for(mb=mb, n_tle=n_tle, n_tlt=n_tlt)
+        for p in PARTITION_ORDER:
+            try:
+                slice_ = tle_slicing(p, conv, n_tle)
+            except Infeasible:
+                continue
+            for q in SCHEDULE_ORDER:
+                expected, _ = plain_grid(conv, arch, slice_, q, model)
+                for path, got in grid_results(conv, arch, slice_, q, model).items():
+                    assert got == expected, (p, q, path)
+
+    @pytest.mark.parametrize("name", FEATURE_CASES)
+    def test_feature_cases(self, name):
+        conv, arch, p, q, model = FEATURE_CASES[name]
+        slice_ = tle_slicing(p, conv, arch.n_tle)
+        expected, totals = plain_grid(conv, arch, slice_, q, model)
+        for path, got in grid_results(conv, arch, slice_, q, model).items():
+            assert got == expected, path
+        if name == "os_mb2_binds":
+            assert min(t_n for _, _, t_n in totals) == 31
+        if name == "exact_tie":
+            tied = sorted(cell for cell, total in totals.items() if total == expected[1])
+            assert tied == [(11, 4, 2), (11, 6, 1)]
+            assert expected[0][:3] == (11, 4, 2)
+        if name == "strided_padded_bytes":
+            assert 0 < expected[2] < expected[3]
+        if name == "nothing_fits":
+            assert expected == (None, np.inf, 0, expected[3])
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(
+            st.integers(1, 10), st.integers(1, 12), st.integers(1, 12), st.integers(1, 40),
+            st.sampled_from([1, 2, 3, 5]), st.integers(1, 3), st.integers(0, 2),
+            st.sampled_from([1, 2]),
+        ),
+        fabric=st.tuples(st.sampled_from([1, 2, 3, 4]), st.sampled_from([1, 2, 4])),
+        mbs=st.tuples(*[st.sampled_from([16, 48, 100, 256, 700, 2048])] * 3),
+        p=st.sampled_from(PARTITION_ORDER),
+        q=st.sampled_from(SCHEDULE_ORDER),
+        model=st.sampled_from(["burst", "noburst"]),
+        times=st.tuples(st.sampled_from([0.0, 14.0]), st.sampled_from([0.0, 100.0])),
+    )
+    # Always drawn: an OS grid whose feasible depths start at 22 (mb2 binds),
+    # and the exact tie of FEATURE_CASES.
+    @example(
+        dims=(40, 4, 4, 32, 1, 1, 0, 2), fabric=(1, 1), mbs=(2048, 1024, 48),
+        p=TlePartitionKind.KS, q=ScheduleKind.OS, model="burst", times=(14.0, 0.0),
+    )
+    @example(
+        dims=(2, 9, 10, 2, 1, 1, 1, 2), fabric=(2, 1), mbs=(256, 256, 256),
+        p=TlePartitionKind.KS, q=ScheduleKind.WS, model="noburst", times=(14.0, 100.0),
+    )
+    def test_drawn_grids(self, dims, fabric, mbs, p, q, model, times):
+        n, h, l, m, k, s, pad, e = dims
+        if h + 2 * pad < k or l + 2 * pad < k:
+            return
+        conv = conv_for(n=n, h=h, l=l, m=m, k=k, s=s, p=pad, e=e)
+        arch = arch_with(*mbs, n_tle=fabric[0], n_tlt=fabric[1], cas_ns=times[0], sw_ns=times[1])
+        try:
+            slice_ = tle_slicing(p, conv, arch.n_tle)
+        except Infeasible:
+            return
+        expected, _ = plain_grid(conv, arch, slice_, q, model)
+        for path, got in grid_results(conv, arch, slice_, q, model).items():
+            assert got == expected, path
+
+
+class TestStaircaseEnumeration:
+    """The search prices the tiles that can fit, not the whole tile box."""
+
+    def test_inception_prices_at_most_2_5x_the_feasible_cells(self, monkeypatch):
+        # Pricing the whole box would cost 5.2x the feasible cells here.
+        priced, feasible = [], []
+        real_calc, real_grid = tsoplan.search.calc_time, tsoplan.search._grid_search
+
+        def counted_calc(tile, *args):
+            sides = (tile.t_m, tile.t_n, tile.t_r, tile.t_c)
+            if any(np.ndim(side) for side in sides):  # a grid, not a winner's rebuild
+                priced.append(np.broadcast_shapes(*map(np.shape, sides)))
+            return real_calc(tile, *args)
+
+        def counted_grid(*args):
+            res = real_grid(*args)
+            feasible.append(res.n_feasible)
+            return res
+
+        monkeypatch.setattr(tsoplan.search, "calc_time", counted_calc)
+        monkeypatch.setattr(tsoplan.search, "_grid_search", counted_grid)
+        tso(sample_model("inceptionv3"), nmp_profile(), workers=1)
+        n_priced = sum(int(np.prod(shape)) for shape in priced)
+        assert sum(feasible) > 6_000_000
+        assert n_priced <= 2.5 * sum(feasible)
