@@ -33,7 +33,6 @@ from .search import (
     StrategyComparison,
     compare_strategies,
     plan_layer,
-    tlt_tiling,
     tso,
 )
 from .simulator import count_bursts_exact, simulate_schedule
@@ -80,7 +79,6 @@ __all__ = [
     "plan_layer",
     "simulate_schedule",
     "tle_slicing",
-    "tlt_tiling",
     "tso",
 ]
 

@@ -26,11 +26,16 @@ Two JSON documents drive the planner:
   and ``sw_overhead_ns`` once per tile transfer; both accept decimals, as do
   ``freq_hz`` and ``bw_bytes_per_s``.  Every other field must be an integer.
 
-Integer fields of both documents are capped at ``INT_MAX`` (2**31 - 1), so
-that the search's int64 arithmetic on them cannot overflow.
+The readers follow the dataclass fields of :class:`ConvLayerSpec` and
+:class:`ArchConfig`: a field without a default is a required key, a field
+with one is optional, and any other key is rejected.  Integer and number
+fields are read in declaration order, integers at least 1 and numbers at
+least 0.0 unless the field's metadata names another ``minimum``.  Integers
+are capped at ``INT_MAX`` (2**31 - 1); the search bounds their products
+where a layer meets an architecture.
 
-Unknown fields are rejected in both documents.  Parsed documents round-trip
-through :func:`model_to_json_dict` / :func:`arch_to_json_dict` unchanged.
+Parsed documents round-trip through :func:`model_to_json_dict` /
+:func:`arch_to_json_dict` unchanged.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 
 class ConfigError(ValueError):
@@ -62,7 +67,7 @@ class ConvLayerSpec:
     m: int
     k: int
     s: int
-    p: int
+    p: int = field(metadata={"minimum": 0})
     r: int
     c: int
     elem_bytes: int
@@ -100,9 +105,9 @@ class ArchConfig:
     mb1_bytes: int
     mb2_bytes: int
     datapath_bits: int
-    freq_hz: float
+    freq_hz: float = field(metadata={"minimum": 1.0})
     cas_ns: float
-    bw_bytes_per_s: float
+    bw_bytes_per_s: float = field(metadata={"minimum": 1.0})
     burst_bytes: int
     sw_overhead_ns: float = 0.0
 
@@ -160,11 +165,12 @@ def _load_json(text: str, what: str) -> object:
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _require_keys(obj: dict, required: set[str], optional: set[str], what: str) -> None:
-    missing = required - obj.keys()
+def _require_keys(obj: dict, cls, what: str) -> None:
+    """obj holds every field of cls without a default, and no other key."""
+    missing = {f.name for f in fields(cls) if f.default is MISSING} - obj.keys()
     if missing:
         raise ConfigError(f"{what}: missing field {sorted(missing)[0]!r}")
-    unknown = obj.keys() - required - optional
+    unknown = obj.keys() - {f.name for f in fields(cls)}
     if unknown:
         raise ConfigError(f"{what}: unknown field {sorted(unknown)[0]!r}")
 
@@ -201,14 +207,21 @@ def _number_field(obj: dict, key: str, what: str, minimum: float = 0.0) -> float
     return value
 
 
+def _numeric_fields(obj: dict, cls, what: str) -> dict:
+    """The int and float fields of cls that obj holds, read in declaration
+    order with the minimum in each field's metadata.  Annotations are
+    strings here (postponed evaluation), so their names pick the reader."""
+    read = {"int": _int_field, "float": _number_field}
+    return {
+        f.name: read[f.type](obj, f.name, what, **f.metadata)
+        for f in fields(cls)
+        if f.type in read and f.name in obj
+    }
+
+
 def validate_conv(conv: ConvLayerSpec) -> ConvLayerSpec:
     """Check a layer's geometry; returns the layer unchanged if consistent."""
     what = f"layer {conv.name!r}"
-    for field_name in ("n", "h", "l", "m", "k", "s"):
-        if getattr(conv, field_name) < 1:
-            raise ConfigError(f"{what}: {field_name} must be >= 1")
-    if conv.p < 0:
-        raise ConfigError(f"{what}: p must be >= 0")
     if conv.elem_bytes not in SUPPORTED_ELEM_BYTES:
         raise ConfigError(
             f"{what}: elem_bytes must be one of {SUPPORTED_ELEM_BYTES}, got {conv.elem_bytes}"
@@ -224,14 +237,11 @@ def validate_conv(conv: ConvLayerSpec) -> ConvLayerSpec:
     return conv
 
 
-_LAYER_KEYS = {"name", "n", "h", "l", "m", "k", "s", "p", "r", "c", "elem_bytes"}
-
-
 def parse_model(text: str) -> ModelSpec:
     doc = _load_json(text, "model")
     if not isinstance(doc, dict):
         raise ConfigError("model: document must be a JSON object")
-    _require_keys(doc, {"name", "layers"}, set(), "model")
+    _require_keys(doc, ModelSpec, "model")
     if not isinstance(doc["name"], str) or not doc["name"]:
         raise ConfigError("model: name must be a non-empty string")
     if not isinstance(doc["layers"], list) or not doc["layers"]:
@@ -243,48 +253,22 @@ def parse_model(text: str) -> ModelSpec:
         what = f"layers[{idx}]"
         if not isinstance(raw, dict):
             raise ConfigError(f"{what}: must be a JSON object")
-        _require_keys(raw, _LAYER_KEYS, set(), what)
+        _require_keys(raw, ConvLayerSpec, what)
         if not isinstance(raw["name"], str) or not raw["name"]:
             raise ConfigError(f"{what}: name must be a non-empty string")
         if raw["name"] in seen:
             raise ConfigError(f"model: duplicate layer name {raw['name']!r}")
         seen.add(raw["name"])
-        conv = ConvLayerSpec(
-            name=raw["name"],
-            n=_int_field(raw, "n", what),
-            h=_int_field(raw, "h", what),
-            l=_int_field(raw, "l", what),
-            m=_int_field(raw, "m", what),
-            k=_int_field(raw, "k", what),
-            s=_int_field(raw, "s", what),
-            p=_int_field(raw, "p", what, minimum=0),
-            r=_int_field(raw, "r", what),
-            c=_int_field(raw, "c", what),
-            elem_bytes=_int_field(raw, "elem_bytes", what),
-        )
+        conv = ConvLayerSpec(name=raw["name"], **_numeric_fields(raw, ConvLayerSpec, what))
         layers.append(validate_conv(conv))
     return ModelSpec(name=doc["name"], layers=tuple(layers))
-
-
-_ARCH_REQUIRED = {
-    "n_tle",
-    "n_tlt",
-    "mb0_bytes",
-    "mb1_bytes",
-    "mb2_bytes",
-    "datapath_bits",
-    "freq_hz",
-    "cas_ns",
-    "bw_bytes_per_s",
-    "burst_bytes",
-}
 
 
 def parse_arch(text: str) -> ArchConfig:
     doc = _load_json(text, "arch")
     if not isinstance(doc, dict):
         raise ConfigError("arch: document must be a JSON object")
-    _require_keys(doc, _ARCH_REQUIRED, {"sw_overhead_ns"}, "arch")
+    _require_keys(doc, ArchConfig, "arch")
 
     burst = _int_field(doc, "burst_bytes", "arch")
     if burst & (burst - 1):
@@ -295,21 +279,7 @@ def parse_arch(text: str) -> ArchConfig:
             raise ConfigError(
                 f"arch: datapath_bits {bits} not divisible by {8 * width}-bit element width"
             )
-    return ArchConfig(
-        n_tle=_int_field(doc, "n_tle", "arch"),
-        n_tlt=_int_field(doc, "n_tlt", "arch"),
-        mb0_bytes=_int_field(doc, "mb0_bytes", "arch"),
-        mb1_bytes=_int_field(doc, "mb1_bytes", "arch"),
-        mb2_bytes=_int_field(doc, "mb2_bytes", "arch"),
-        datapath_bits=bits,
-        freq_hz=_number_field(doc, "freq_hz", "arch", minimum=1.0),
-        cas_ns=_number_field(doc, "cas_ns", "arch"),
-        bw_bytes_per_s=_number_field(doc, "bw_bytes_per_s", "arch", minimum=1.0),
-        burst_bytes=burst,
-        sw_overhead_ns=(
-            _number_field(doc, "sw_overhead_ns", "arch") if "sw_overhead_ns" in doc else 0.0
-        ),
-    )
+    return ArchConfig(**_numeric_fields(doc, ArchConfig, "arch"))
 
 
 def model_to_json_dict(model: ModelSpec) -> dict:

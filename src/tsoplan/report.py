@@ -137,9 +137,9 @@ def _entry_value(where: str, f: Field, value: object) -> object:
 def plan_from_json_dict(data: object) -> PlanDoc:
     if not isinstance(data, dict):
         raise ConfigError("plan document must be a JSON object")
-    for key in ("model", "arch_digest", "mode", "entries"):
-        if key not in data:
-            raise ConfigError(f"plan document missing field {key!r}")
+    for f in fields(PlanDoc):
+        if f.name not in data:
+            raise ConfigError(f"plan document missing field {f.name!r}")
     if data["mode"] not in ("burst", "noburst"):
         raise ConfigError(f"plan mode must be 'burst' or 'noburst', got {data['mode']!r}")
     if not isinstance(data["entries"], list) or not data["entries"]:
@@ -181,9 +181,7 @@ class BreakdownRow:
     pct_mac: float
 
 
-def breakdown_rows(
-    plan: PlanMap, arch: ArchConfig, reference: PlanMap | None = None
-) -> list[BreakdownRow]:
+def breakdown_rows(plan: PlanMap, arch: ArchConfig) -> list[BreakdownRow]:
     rows = []
     for name, entry in plan.entries.items():
         cost = entry.cost
@@ -194,18 +192,15 @@ def breakdown_rows(
         a = cost.alphas
         load = a.a_in * x_in + a.a_w * x_w + (a.a_in + a.a_w) * arch.sw_overhead_s
         store = a.a_out * x_out + a.a_out * arch.sw_overhead_s
-        denom = cost.t_total
-        if reference is not None and name in reference.entries:
-            denom = reference.entries[name].cost.t_total
         rows.append(
             BreakdownRow(
                 layer=name,
                 load_s=load,
                 store_s=store,
                 mac_s=cost.t_mac,
-                pct_load=100.0 * load / denom,
-                pct_store=100.0 * store / denom,
-                pct_mac=100.0 * cost.t_mac / denom,
+                pct_load=100.0 * load / cost.t_total,
+                pct_store=100.0 * store / cost.t_total,
+                pct_mac=100.0 * cost.t_mac / cost.t_total,
             )
         )
     return rows

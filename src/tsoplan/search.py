@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .configs import ArchConfig, ConvLayerSpec, ModelSpec
+from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec
 from .costmodel import CostBreakdown, TileKind, TimeModel, calc_burst_count, calc_time
 from .slicing import (
     Infeasible,
@@ -59,6 +59,12 @@ SCHEDULE_ORDER = (ScheduleKind.IS, ScheduleKind.OS, ScheduleKind.WS)
 # skipping its infeasible cells would save less than the staircase's
 # bookkeeping and extra chunks cost.
 _CHUNK_CELLS = 1 << 16
+
+# Bound on a layer's move product n_tle*m*n*r*c*k*k and window product
+# n*(h+2p)*(l+2p).  Every integer the grid forms in int64 (move counts and
+# their sum, tile counts, MAC cycles, tile bytes) is at most three times
+# one of them, so below 2**63.
+_PRODUCT_MAX = 2**61
 
 
 @dataclass(frozen=True)
@@ -239,21 +245,6 @@ def _staircase(t_m, t_n, r_hi: int, c_hi: int, conv: ConvLayerSpec, arch: ArchCo
         stop = start
 
 
-def tlt_tiling(
-    q: ScheduleKind,
-    conv: ConvLayerSpec,
-    slice_: TleSlice,
-    n_tlt: int,
-    arch: ArchConfig,
-    model: TimeModel = "burst",
-) -> tuple[TileConfig, CostBreakdown] | None:
-    """Best tile for one partition/schedule pair, or None if nothing fits."""
-    res = _grid_search(conv, arch, slice_, q, model, n_tlt)
-    if res.best is None:
-        return None
-    return _rebuild(res, q, conv, slice_, n_tlt, arch, model)
-
-
 def _rebuild(
     res: _GridResult,
     q: ScheduleKind,
@@ -302,7 +293,15 @@ def _table(
     fixed_tle: TlePartitionKind | None = None,
     fixed_tlt: ScheduleKind | None = None,
 ) -> tuple[_Cell, ...]:
-    """The cells of the pairs a restriction allows, in canonical order."""
+    """The cells of the pairs a restriction allows, in canonical order;
+    raises ConfigError for a layer beyond ``_PRODUCT_MAX``."""
+    moves = arch.n_tle * conv.m * conv.n * conv.r * conv.c * conv.k * conv.k
+    window = conv.n * (conv.h + 2 * conv.p) * (conv.l + 2 * conv.p)
+    if max(moves, window) > _PRODUCT_MAX:
+        raise ConfigError(
+            f"layer {conv.name!r}: n_tle*m*n*r*c*k*k = {moves} and n*(h+2p)*(l+2p) = {window}"
+            " must both be <= 2**61 to be priced exactly in int64"
+        )
     schedules = (fixed_tlt,) if fixed_tlt else SCHEDULE_ORDER
     cells = []
     for p in (fixed_tle,) if fixed_tle else PARTITION_ORDER:

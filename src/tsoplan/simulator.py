@@ -60,13 +60,6 @@ class TransferTrace:
     stores_out: int
     total_bursts: dict[TileKind, BurstTotals] | None = None
 
-    def total_for(self, kind: TileKind) -> int:
-        if kind is TileKind.IN:
-            return self.loads_in
-        if kind is TileKind.W:
-            return self.loads_w
-        return self.stores_out
-
 
 def _slice_origin(slice_: TleSlice, tle: int, n_tle: int) -> tuple[int, int]:
     """Output-row and filter origin of one TLE's slice.

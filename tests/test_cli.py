@@ -194,6 +194,21 @@ class TestBoundedSearch:
         assert entry["layer"] == "deep"
         assert 1 <= entry["t_n"] <= nmp.mb0_bytes // (2 * 3 * 3)
 
+    def test_layer_beyond_int64_pricing_exits_1(self, write_configs, nmp, capsys):
+        # Every field at the cap: move counts would wrap in int64.
+        big = 2**31 - 1
+        conv = ConvLayerSpec(
+            name="x", n=big, h=big, l=big, m=big, k=1, s=1, p=0, r=big, c=big, elem_bytes=2
+        )
+        model_path, arch_path = write_configs(ModelSpec(name="big", layers=(conv,)), nmp)
+        for command in ("plan", "compare", "roofline"):
+            rc = main([command, "--model", model_path, "--arch", arch_path, "--threads", "1"])
+            err = capsys.readouterr().err
+            assert rc == 1
+            assert err.startswith("error: layer 'x': n_tle*m*n*r*c*k*k = ")
+            assert err.endswith(" must both be <= 2**61 to be priced exactly in int64\n")
+            assert err.count("\n") == 1
+
 
 class TestSimulateCommand:
     def plan_file(self, files, tmp_path, name="plan.json"):

@@ -220,3 +220,46 @@ def test_model_spec_is_immutable():
     assert isinstance(model, ModelSpec)
     with pytest.raises(AttributeError):
         model.layers[0].n = 5
+
+
+# Each numeric field: a value one below its minimum and the exact message.
+LAYER_BELOW_MINIMUM = {
+    **{key: (0, f"{key} must be >= 1, got 0") for key in set(VALID_LAYER) - {"name", "p"}},
+    "p": (-1, "p must be >= 0, got -1"),
+}
+ARCH_BELOW_MINIMUM = {
+    **{key: (0, f"{key} must be >= 1, got 0") for key in ARCH_INT_KEYS},
+    "freq_hz": (0.5, "freq_hz must be >= 1.0, got 0.5"),
+    "cas_ns": (-1, "cas_ns must be >= 0.0, got -1.0"),
+    "bw_bytes_per_s": (0.5, "bw_bytes_per_s must be >= 1.0, got 0.5"),
+    "sw_overhead_ns": (-1, "sw_overhead_ns must be >= 0.0, got -1.0"),
+}
+
+
+def _config_error(parse, doc) -> str:
+    with pytest.raises(ConfigError) as info:
+        parse(json.dumps(doc))
+    return str(info.value)
+
+
+@pytest.mark.parametrize("key", sorted(LAYER_BELOW_MINIMUM))
+def test_layer_field_messages(key):
+    doc = valid_model_doc()
+    value, message = LAYER_BELOW_MINIMUM[key]
+    doc["layers"][0][key] = value
+    assert _config_error(parse_model, doc) == f"layers[0]: {message}"
+    del doc["layers"][0][key]
+    assert _config_error(parse_model, doc) == f"layers[0]: missing field {key!r}"
+
+
+@pytest.mark.parametrize("key", sorted(ARCH_BELOW_MINIMUM))
+def test_arch_field_messages(key):
+    doc = arch_to_json_dict(nmp_profile())
+    value, message = ARCH_BELOW_MINIMUM[key]
+    doc[key] = value
+    assert _config_error(parse_arch, doc) == f"arch: {message}"
+    del doc[key]
+    if key == "sw_overhead_ns":  # the one optional field
+        assert parse_arch(json.dumps(doc)) == nmp_profile()
+    else:
+        assert _config_error(parse_arch, doc) == f"arch: missing field {key!r}"

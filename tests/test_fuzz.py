@@ -3,7 +3,9 @@
 Each example edits a small model, architecture or plan document (replacing,
 adding or deleting fields), writes the files and runs one command through
 ``cli.main``.  The layers stay tiny and edited integers stay small, so no
-search grows large.
+search grows large.  A second test sets layer fields to integers near the
+2**31 - 1 cap: the scratchpads still bound the search, but ``simulate``
+replays every move, so it is left out there.
 """
 
 from __future__ import annotations
@@ -59,6 +61,15 @@ EDITS = st.sampled_from(sorted(PATHS)).flatmap(
     )
 )
 COMMANDS = ("plan", "compare", "roofline", "simulate")
+NEAR_CAP_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(
+            [("layers", i, key) for i in (0, 1) for key in list(MODEL["layers"][0])[1:]]
+        ),
+        st.sampled_from([2**31 - 2, 2**31 - 1, 2**31]),
+    ),
+    max_size=3,
+)
 
 
 def _run(argv: list[str]) -> tuple[int, str]:
@@ -141,3 +152,24 @@ def test_bad_input_never_escapes_as_a_traceback(command, edits, writable):
         assert code == 1
     if not writable and code == 0:
         raise AssertionError("an unwritable output path was reported as success")
+
+
+@settings(max_examples=40, deadline=None)
+@given(command=st.sampled_from(COMMANDS[:3]), edits=NEAR_CAP_EDITS)
+@example(command="plan", edits=[(("layers", 0, "n"), 2**31 - 1), (("layers", 0, "m"), 2**31 - 1)])
+@example(
+    command="compare",
+    edits=[(("layers", 0, key), 2**31 - 1) for key in ("h", "r", "n")],
+)
+def test_near_cap_layer_integers_never_escape_as_a_traceback(command, edits):
+    model = json.loads(json.dumps(MODEL))
+    for path, value in edits:
+        _apply(model, path, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = _write(Path(tmp), {"model": model, "arch": ARCH})
+        code, err = _run([command, "--model", paths["model"], "--arch", paths["arch"],
+                          "--threads", "1", "--out", str(Path(tmp) / "out.txt")])
+
+    assert code in (0, 1, 2)
+    if code in (1, 2):
+        assert err.splitlines()[-1].startswith("error: ")

@@ -156,17 +156,6 @@ class TestBreakdown:
         assert row.load_s + row.store_s + row.mac_s == pytest.approx(total, rel=1e-12)
         assert row.pct_load + row.pct_store + row.pct_mac == pytest.approx(100.0)
 
-    def test_reference_plan_rescales_percentages(self):
-        model = ModelSpec(name="m", layers=(conv_for(),))
-        arch = arch_for()
-        burst = tso(model, arch)
-        noburst = tso(model, arch, mode="noburst")
-        own = breakdown_rows(noburst, arch)[0]
-        against_burst = breakdown_rows(noburst, arch, reference=burst)[0]
-        ratio = noburst.entries["t"].cost.t_total / burst.entries["t"].cost.t_total
-        assert against_burst.pct_mac == pytest.approx(own.pct_mac * ratio)
-        assert (against_burst.load_s, against_burst.store_s) == (own.load_s, own.store_s)
-
 
 class TestRoofline:
     def test_compute_roof_is_the_datapath_rate(self, toy_plan):

@@ -5,10 +5,10 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 import tsoplan.search
-from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec, nmp_profile
+from tsoplan.configs import INT_MAX, ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, nmp_profile
 from tsoplan.costmodel import calc_time
 from tsoplan.search import (
     COMPARE_COLUMNS,
@@ -17,7 +17,6 @@ from tsoplan.search import (
     PlanError,
     compare_strategies,
     plan_layer,
-    tlt_tiling,
     tso,
 )
 from tsoplan.slicing import (
@@ -114,24 +113,27 @@ class TestRefereeParity:
     def test_single_pair_matches_plain_loop(self):
         conv = conv_for(n=3, h=10, l=10, m=8, k=3)
         arch = arch_for(mb=1024, n_tle=4, n_tlt=2)
-        slice_ = tle_slicing(TlePartitionKind.KS_OFM, conv, 4)
         ref = brute_plan_layer(
             conv, arch, "burst",
             partitions=(TlePartitionKind.KS_OFM,), schedules=(ScheduleKind.OS,),
         )
-        got = tlt_tiling(ScheduleKind.OS, conv, slice_, arch.n_tlt, arch, "burst")
-        assert ref is not None and got is not None
-        tile, cost = got
+        got = plan_layer(
+            conv, arch, "burst", fixed_tle=TlePartitionKind.KS_OFM, fixed_tlt=ScheduleKind.OS
+        )
+        assert ref is not None
+        tile, cost = got.tile, got.cost
         assert cost.t_total == ref[0]
         assert (tile.t_m, tile.t_n, tile.t_r, tile.t_c) == (
             ref[3].t_m, ref[3].t_n, ref[3].t_r, ref[3].t_c,
         )
 
-    def test_infeasible_pair_returns_none(self):
+    def test_infeasible_pair_raises_plan_error(self):
         conv = conv_for(n=8, h=6, l=6, m=8, k=3)
         arch = arch_for(mb=128, n_tle=2, n_tlt=1)  # one full-depth filter needs 144 B
-        slice_ = tle_slicing(TlePartitionKind.KS, conv, 2)
-        assert tlt_tiling(ScheduleKind.WS, conv, slice_, 1, arch, "burst") is None
+        with pytest.raises(PlanError):
+            plan_layer(
+                conv, arch, "burst", fixed_tle=TlePartitionKind.KS, fixed_tlt=ScheduleKind.WS
+            )
 
 
 def _cost_row(cost, i=None):
@@ -671,3 +673,45 @@ class TestStaircaseEnumeration:
         n_priced = sum(int(np.prod(shape)) for shape in priced)
         assert sum(feasible) > 6_000_000
         assert n_priced <= 2.5 * sum(feasible)
+
+
+class TestInt64Bound:
+    """A layer is priced exactly up to n_tle*m*n*r*c*k*k = 2**61 and
+    n*(h+2p)*(l+2p) = 2**61; one more output row past either is refused."""
+
+    BOUND = 2**61
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_layers_just_inside_the_bound_plan(self, data):
+        n_tle = data.draw(st.sampled_from([1, 2, 4]))
+        k = data.draw(st.integers(1, 3))
+        s = data.draw(st.integers(1, 3))
+        p = data.draw(st.integers(0, (k - 1) // 2))  # keeps h and l >= 1 at r = c = 1
+        e = data.draw(st.sampled_from([1, 2]))
+        side_max = (INT_MAX + 2 * p - k) // s + 1  # largest r or c with h or l <= INT_MAX
+        per_cell = n_tle * k * k
+        n = data.draw(st.integers(1, min(INT_MAX, self.BOUND // per_cell)))
+        m = data.draw(st.integers(1, min(INT_MAX, self.BOUND // (per_cell * n))))
+        # c is large enough that the row count reaching the bound is below side_max.
+        c_lo = -(-self.BOUND // (per_cell * n * m * side_max))
+        assume(c_lo <= min(side_max, self.BOUND // (per_cell * n * m)))
+        c = data.draw(st.integers(c_lo, min(side_max, self.BOUND // (per_cell * n * m))))
+        l_pad = (c - 1) * s + k
+        h_pad_max = self.BOUND // (n * l_pad)
+        assume(h_pad_max >= k)
+        r = min(self.BOUND // (per_cell * n * m * c), (h_pad_max - k) // s + 1)
+        assume(r < side_max)
+
+        def layer(rows):
+            h = (rows - 1) * s + k - 2 * p
+            return conv_for(name="big", n=n, h=h, l=l_pad - 2 * p, m=m, k=k, s=s, p=p, e=e)
+
+        inside, outside = layer(r), layer(r + 1)
+        assert (inside.r, inside.c, outside.r) == (r, c, r + 1)
+        arch = arch_for(mb=1024, n_tle=n_tle, n_tlt=2, sw_ns=1.0)
+        model = data.draw(st.sampled_from(["burst", "noburst"]))
+        entry = plan_layer(inside, arch, model)  # _rebuild re-prices every pair's winner
+        assert entry.cost.alphas.a_in >= 1
+        with pytest.raises(ConfigError, match="^layer 'big': "):
+            plan_layer(outside, arch, model)
