@@ -11,21 +11,22 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 
 from .configs import ArchConfig, ConfigError, ModelSpec, parse_arch, parse_model
 from .costmodel import TileKind, calc_burst_count, calc_time, compute_alphas
 from .report import (
     compare_csv,
-    format_us,
+    entry_doc,
     plan_from_json_dict,
     plan_json_text,
     plan_table,
     roofline_csv,
     roofline_points,
 )
-from .search import PlanError, compare_strategies, tso
+from .search import PlanEntry, PlanError, compare_strategies, tso
 from .simulator import simulate_schedule
-from .slicing import Infeasible, ScheduleKind, TlePartitionKind, gen_tile, tle_slicing
+from .slicing import Infeasible, ScheduleKind, TlePartitionKind, gen_tile, get_filters, tle_slicing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,75 +199,57 @@ def cmd_simulate(args) -> int:
 
     failures = 0
     trace_lines: list[str] | None = [] if args.dump_trace else None
-    for entry in doc.entries:
-        conv = by_name[entry.layer]
-        problems: list[str] = []
+    for stored in doc.entries:
+        conv = by_name[stored.layer]
+        q = stored.schedule
+        # Rebuild the entry as the planner does: t_m follows from the schedule.
         try:
-            slice_ = tle_slicing(entry.tle_partition, conv, arch.n_tle)
-            tile = gen_tile(
-                entry.t_m, entry.t_n, entry.t_r, entry.t_c,
-                entry.schedule, conv, arch, slice_,
-            )
+            slice_ = tle_slicing(stored.tle_partition, conv, arch.n_tle)
+            sides, grid = (stored.t_n, stored.t_r, stored.t_c), (conv.n, slice_.tle_r, conv.c)
+            if any(side > bound for side, bound in zip(sides, grid)):
+                raise Infeasible(f"t_n, t_r, t_c = {sides} not within n, tle_r, c = {grid}")
+            t_n, t_r, t_c = sides
+            t_m = get_filters(t_r, t_c, q, slice_.tle_w, arch.n_tlt, t_n, conv, arch)
+            tile = gen_tile(t_m, t_n, t_r, t_c, q, conv, arch, slice_)
         except Infeasible as exc:
-            sys.stdout.write(f"FAIL {entry.layer}: stored tile is infeasible: {exc.reason}\n")
+            sys.stdout.write(f"FAIL {stored.layer}: stored tile is infeasible: {exc.reason}\n")
             failures += 1
             continue
-        if (tile.t_h, tile.t_l) != (entry.t_h, entry.t_l):
-            problems.append(
-                f"window {entry.t_h}x{entry.t_l} stored, {tile.t_h}x{tile.t_l} recomputed"
-            )
+        cost = calc_time(tile, q, conv, slice_, arch, doc.mode)
+        fresh = entry_doc(PlanEntry(stored.layer, slice_, tile, q, cost))
+        problems = [
+            f"{f.name} stored {getattr(stored, f.name)}, recomputed {getattr(fresh, f.name)}"
+            for f in fields(stored) if getattr(stored, f.name) != getattr(fresh, f.name)
+        ]
 
-        alphas = compute_alphas(entry.schedule, conv, slice_, tile, arch.n_tle)
-        stored = (entry.alpha_in, entry.alpha_w, entry.alpha_out)
-        if stored != (alphas.a_in, alphas.a_w, alphas.a_out):
-            problems.append(f"alphas stored {stored}, analytic {alphas}")
-
-        trace = simulate_schedule(
-            entry.schedule, conv, slice_, tile, arch,
-            keep_events=trace_lines is not None,
-        )
+        alphas = compute_alphas(q, conv, slice_, tile, arch.n_tle)
+        trace = simulate_schedule(q, conv, slice_, tile, arch, keep_events=trace_lines is not None)
         simulated = (trace.loads_in, trace.loads_w, trace.stores_out)
         if simulated != (alphas.a_in, alphas.a_w, alphas.a_out):
             problems.append(f"simulated moves {simulated}, analytic {alphas}")
 
-        bursts = {
-            kind: calc_burst_count(kind, tile, conv, arch, "aligned")
-            for kind in (TileKind.IN, TileKind.W, TileKind.OUT)
-        }
-        stored_bursts = (entry.bursts_in, entry.bursts_w, entry.bursts_out)
-        recomputed = (bursts[TileKind.IN], bursts[TileKind.W], bursts[TileKind.OUT])
-        if stored_bursts != recomputed:
-            problems.append(f"bursts stored {stored_bursts}, recomputed {recomputed}")
-
-        cost = calc_time(tile, entry.schedule, conv, slice_, arch, doc.mode)
-        for key, stored_us, fresh in (
-            ("t_mac_us", entry.t_mac_us, cost.t_mac),
-            ("t_dram_us", entry.t_dram_us, cost.t_dram),
-            ("t_sw_us", entry.t_sw_us, cost.t_sw),
-            ("t_total_us", entry.t_total_us, cost.t_total),
-        ):
-            if format_us(fresh) != stored_us:
-                problems.append(f"{key} stored {stored_us}, recomputed {format_us(fresh)}")
-
+        aligned = [calc_burst_count(kind, tile, conv, arch, "aligned") for kind in TileKind]
+        closed_form = [cost.bursts_in, cost.bursts_w, cost.bursts_out]
+        if closed_form != aligned:
+            problems.append(f"closed-form bursts {closed_form}, run-enumerated {aligned}")
         delta = sum(
-            calc_burst_count(kind, tile, conv, arch, "address_aware")
-            - calc_burst_count(kind, tile, conv, arch, "aligned")
-            for kind in (TileKind.IN, TileKind.W, TileKind.OUT)
+            calc_burst_count(kind, tile, conv, arch, "address_aware") - count
+            for kind, count in zip(TileKind, aligned)
         )
         if trace_lines is not None:
             for event in trace.events:
                 nbytes = sum(length for _, length in event.runs)
                 trace_lines.append(
-                    f"{entry.layer} tle={event.tle} {event.kind.value}"
+                    f"{stored.layer} tle={event.tle} {event.kind.value}"
                     f" origin={event.origin} extent={event.extent} bytes={nbytes}"
                 )
         if problems:
             failures += 1
             for problem in problems:
-                sys.stdout.write(f"FAIL {entry.layer}: {problem}\n")
+                sys.stdout.write(f"FAIL {stored.layer}: {problem}\n")
         else:
             sys.stdout.write(
-                f"ok {entry.layer}: moves {alphas.a_in}/{alphas.a_w}/{alphas.a_out},"
+                f"ok {stored.layer}: moves {alphas.a_in}/{alphas.a_w}/{alphas.a_out},"
                 f" burst delta (address-aware minus aligned) {delta}\n"
             )
 

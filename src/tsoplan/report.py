@@ -32,7 +32,8 @@ _TILE_DIM = {"minimum": 1}
 
 @dataclass(frozen=True)
 class PlanEntryDoc:
-    """One layer of a plan file; its fields, in order, are the entry's JSON keys."""
+    """One layer of a plan file; its fields, in order, are the entry's JSON
+    keys and the values ``simulate`` recomputes and compares."""
 
     layer: str
     tle_partition: TlePartitionKind
@@ -67,7 +68,7 @@ _ENTRY_FIELDS = fields(PlanEntryDoc)
 _ENTRY_TYPES = get_type_hints(PlanEntryDoc)
 
 
-def _entry_doc(entry: PlanEntry) -> PlanEntryDoc:
+def entry_doc(entry: PlanEntry) -> PlanEntryDoc:
     cost = entry.cost
     tile = entry.tile
     return PlanEntryDoc(
@@ -100,7 +101,7 @@ def _json_value(value: object) -> object:
 def plan_to_json_dict(plan: PlanMap, arch: ArchConfig) -> dict:
     entries = [
         {f.name: _json_value(getattr(doc, f.name)) for f in _ENTRY_FIELDS}
-        for doc in map(_entry_doc, plan.entries.values())
+        for doc in map(entry_doc, plan.entries.values())
     ]
     return {
         "model": plan.model_name,
@@ -328,25 +329,16 @@ def plan_table(plan: PlanMap, arch: ArchConfig) -> str:
     rows = [header]
     breakdown = {row.layer: row for row in breakdown_rows(plan, arch)}
     for name, entry in plan.entries.items():
-        cost = entry.cost
-        tile = entry.tile
+        doc = entry_doc(entry)
         split = breakdown[name]
         rows.append(
             (
                 name,
-                entry.slice.kind.value,
-                entry.schedule.value,
-                str(tile.t_m),
-                str(tile.t_n),
-                str(tile.t_r),
-                str(tile.t_c),
-                f"{format_us(cost.t_mac):.3f}",
-                f"{format_us(cost.t_dram):.3f}",
-                f"{format_us(cost.t_sw):.3f}",
-                f"{format_us(cost.t_total):.3f}",
-                f"{split.pct_load:.1f}",
-                f"{split.pct_store:.1f}",
-                f"{split.pct_mac:.1f}",
+                doc.tle_partition.value,
+                doc.schedule.value,
+                *(str(side) for side in (doc.t_m, doc.t_n, doc.t_r, doc.t_c)),
+                *(f"{t:.3f}" for t in (doc.t_mac_us, doc.t_dram_us, doc.t_sw_us, doc.t_total_us)),
+                *(f"{pct:.1f}" for pct in (split.pct_load, split.pct_store, split.pct_mac)),
             )
         )
     total = sum(entry.cost.t_total for entry in plan.entries.values())

@@ -29,7 +29,6 @@ the worker count.
 from __future__ import annotations
 
 import os
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -80,7 +79,6 @@ class PlanEntry:
 class SearchStats:
     candidates_evaluated: int = 0
     candidates_infeasible: int = 0
-    wall_time_s: float = 0.0
     tie_layers: tuple[str, ...] = ()
 
 
@@ -366,7 +364,6 @@ def tso(
     are searched in parallel, and the plan is identical for any count.
     Search statistics count every layer, repeated geometries included.
     """
-    started = time.perf_counter()
     tables = _map_geometries(
         model.layers, lambda conv: _table(conv, arch, mode, fixed_tle, fixed_tlt), workers
     )
@@ -382,7 +379,6 @@ def tso(
     stats = SearchStats(
         candidates_evaluated=sum(cell.n_feasible for cell in cells),
         candidates_infeasible=sum(cell.n_candidates - cell.n_feasible for cell in cells),
-        wall_time_s=time.perf_counter() - started,
         tie_layers=tuple(conv.name for conv, (_, _, tied) in zip(model.layers, outcomes) if tied),
     )
     entries = {conv.name: entry for conv, (entry, _, _) in zip(model.layers, outcomes)}

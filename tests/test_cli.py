@@ -12,9 +12,11 @@ import pytest
 
 import tsoplan
 from tsoplan.cli import main
-from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec
+from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec, parse_arch
+from tsoplan.report import PlanEntryDoc, entry_doc
+from tsoplan.search import PlanEntry
 
-from _models import random_toy_model
+from _models import SAMPLES, random_toy_model, sample_model
 
 
 def arch_for(mb=8192, n_tle=4, n_tlt=8):
@@ -330,6 +332,71 @@ class TestSimulateCommand:
         assert all("origin=" in line and "extent=" in line for line in lines)
         kinds = {line.split()[2] for line in lines}
         assert kinds == {"in", "w", "out"}
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            f.name
+            for f in dataclasses.fields(PlanEntryDoc)
+            if f.name not in ("layer", "tle_partition", "schedule", "t_n", "t_r", "t_c")
+        ],
+    )
+    def test_every_derived_field_is_checked(self, toy_files, tmp_path, capsys, field):
+        model_path, arch_path, out = self.plan_file(toy_files, tmp_path)
+        doc = json.loads(out.read_text())
+        doc["entries"][0][field] += 1
+        layer = doc["entries"][0]["layer"]
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 3
+        assert any(line.startswith(f"FAIL {layer}: {field} stored ") for line in lines)
+
+    @pytest.mark.parametrize(
+        "side,value,total_us,fail",
+        [
+            ("t_m", 1, 3.461, "t_m stored 1, recomputed 2"),
+            ("t_m", 5, 5.434, "t_m stored 5, recomputed 2"),
+            ("t_n", 5, 5.307, "stored tile is infeasible: t_n, t_r, t_c = (5, 8, 32)"),
+            ("t_r", 9, 4.392, "stored tile is infeasible: t_n, t_r, t_c = (3, 9, 32)"),
+            ("t_c", 33, 3.880, "stored tile is infeasible: t_n, t_r, t_c = (3, 8, 33)"),
+        ],
+    )
+    def test_self_consistent_tile_the_planner_cannot_build_exits_3(
+        self, tmp_path, capsys, side, value, total_us, fail
+    ):
+        # The toy sample's first layer plans as ofm/is with t_m, t_n, t_r, t_c
+        # = 2, 3, 8, 32.  Each edit stores another tile together with the
+        # counts and times the model gives that tile, so only the tile itself
+        # is wrong: is keeps all 2 filters of a TLT resident, and no side may
+        # pass the layer's n = 3, tle_r = 8 or c = 32.
+        files = (str(SAMPLES / "toy_model.json"), str(SAMPLES / "nmp_arch.json"))
+        model_path, arch_path, out = self.plan_file(files, tmp_path)
+        doc = json.loads(out.read_text())
+        planned = doc["entries"][0]
+        assert (planned["layer"], planned["tle_partition"], planned["schedule"]) == (
+            "entry", "ofm", "is"
+        )
+        sides = {key: planned[key] for key in ("t_m", "t_n", "t_r", "t_c")}
+        assert sides == {"t_m": 2, "t_n": 3, "t_r": 8, "t_c": 32}
+        sides[side] = value
+        conv = sample_model("toy_model").layers[0]
+        arch = parse_arch((SAMPLES / "nmp_arch.json").read_text(encoding="utf-8"))
+        q = tsoplan.ScheduleKind.IS
+        slice_ = tsoplan.tle_slicing(tsoplan.TlePartitionKind.OFM, conv, arch.n_tle)
+        tile = tsoplan.gen_tile(**sides, q=q, conv=conv, arch=arch, slice_=slice_)
+        cost = tsoplan.calc_time(tile, q, conv, slice_, arch, doc["mode"])
+        edited = dataclasses.asdict(entry_doc(PlanEntry("entry", slice_, tile, q, cost)))
+        assert edited["t_total_us"] == total_us
+        doc["entries"][0] = {**edited, "tle_partition": "ofm", "schedule": "is"}
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(out)])
+        lines = capsys.readouterr().out.splitlines()
+        assert rc == 3
+        assert any(line.startswith(f"FAIL entry: {fail}") for line in lines)
+        assert lines[-1] == "1 of 3 layers failed verification"
 
 
 class TestCompareCommand:

@@ -1,4 +1,5 @@
-"""Golden outputs: the sha256 of the plan JSON and the compare CSV of the samples.
+"""Golden outputs: the sha256 of the plan JSON and the compare CSV of the
+samples, and of the simulate report (and transfer trace) of their plans.
 
 A plan or a comparison may only change with a change to the cost model or
 the search that says so; such a change updates these digests with it.
@@ -39,3 +40,30 @@ def test_output_digest(sample, command, mode, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[sample, command, mode]
+
+
+# simulate stdout and --dump-trace file; the trace is only taken on the toy
+# sample, whose replay keeps every transfer event.
+SIMULATE_GOLDEN = {
+    "toy_model": (
+        "18c2f2dff38f22017ba927c58e9165006888cba50dface24f500ff71c8f96487",
+        "0e178bbf61296b1896fcb712d665edf587658973b08a249c82d96a4677792d99",
+    ),
+    "inceptionv3": ("8c510329d993a646d163c729811cdcc77207f7cc53a64df9d59fcb41d0af46c6", None),
+}
+
+
+@pytest.mark.parametrize("sample", sorted(SIMULATE_GOLDEN))
+def test_simulate_digest(sample, tmp_path, capsys):
+    report_digest, trace_digest = SIMULATE_GOLDEN[sample]
+    io = ["--model", str(SAMPLES / f"{sample}.json"), "--arch", str(SAMPLES / "nmp_arch.json")]
+    plan, trace = tmp_path / "plan.json", tmp_path / "trace.txt"
+    assert main(["plan", *io, "--threads", "1", "--out", str(plan)]) == 0
+    capsys.readouterr()
+    argv = ["simulate", *io, "--plan", str(plan)]
+    if trace_digest:
+        argv += ["--dump-trace", str(trace)]
+    assert main(argv) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == report_digest
+    if trace_digest:
+        assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
