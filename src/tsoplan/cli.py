@@ -121,8 +121,9 @@ def _read_text(path: str) -> str:
 
 
 def _read_json(path: str):
+    text = _read_text(path)
     try:
-        return json.loads(_read_text(path))
+        return json.loads(text)
     except ValueError as exc:
         raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
 

@@ -10,11 +10,13 @@ conventions the analytic model prices:
   actual map; overhanging slots still count as transfers but touch an empty
   or clipped byte range.  Input tiles are multicast within a cluster, so
   one load event serves all of its TLTs.
+* IS replays as OS with a single filter group: all of a TLT's filters stay
+  resident, so its weight loop runs once and each store covers every output
+  channel of its spatial window.  OS and WS walk filter groups of t_m.
 * Output tiles are stored once per tile of the whole output map, on the
-  map's own tile grid.  Under IS all of a TLT's filters stay resident, so a
-  store covers every output channel of its spatial window; under OS and WS
-  stores walk filter groups as well.  Store events therefore partition the
-  output map exactly.
+  map's own tile grid, so store events partition the output map exactly.
+  A store belongs to the last TLE whose slice origin lies at or before the
+  store's first row and filter.
 * Events are ordered TLE-major for reproducibility, with the store pass
   appended in the schedule's traversal order.  Totals are what the analytic
   model must match; ordering is a presentation choice.
@@ -26,6 +28,7 @@ exhaustive toy-scale sweeps cheap.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .configs import ArchConfig, ConvLayerSpec
 from .costmodel import TileKind, box_runs, tile_box
@@ -64,9 +67,11 @@ class TransferTrace:
 def _slice_origin(slice_: TleSlice, tle: int, n_tle: int) -> tuple[int, int]:
     """Output-row and filter origin of one TLE's slice.
 
-    KS_OFM pairs row groups with filter groups; with four TLEs that is the
-    classic two-by-two split.  Groups may overhang the map for other even
-    counts; overhanging work is counted but touches nothing.
+    KS_OFM lays the TLEs out as two row groups of n_tle/2 filter groups;
+    with four TLEs that is the classic two-by-two split.  Slices that start
+    or end past the map overhang it; that work is counted but touches
+    nothing.  tle_slicing cuts KS_OFM rows into n_tle/2 bands, so from six
+    TLEs on, the two row groups leave the rows from 2*tle_r on unloaded.
     """
     if slice_.kind is TlePartitionKind.KS:
         return 0, tle * slice_.tle_w
@@ -74,6 +79,11 @@ def _slice_origin(slice_: TleSlice, tle: int, n_tle: int) -> tuple[int, int]:
         return tle * slice_.tle_r, 0
     half = n_tle // 2
     return (tle // half) * slice_.tle_r, (tle % half) * slice_.tle_w
+
+
+def _event(kind: TileKind, tle: int, dims, origin, extent, elem_bytes: int) -> TransferEvent:
+    runs = tuple(box_runs(dims, origin, extent, elem_bytes))
+    return TransferEvent(kind, tle, origin, extent, dims, elem_bytes, runs)
 
 
 def simulate_schedule(
@@ -93,120 +103,58 @@ def simulate_schedule(
     """
     in_dims, in_extent = tile_box(TileKind.IN, tile, conv)
     w_dims, w_extent = tile_box(TileKind.W, tile, conv)
-    out_dims, out_extent = tile_box(TileKind.OUT, tile, conv)
+    out_dims, _ = tile_box(TileKind.OUT, tile, conv)
+    t_r, t_c, t_n, e = tile.t_r, tile.t_c, tile.t_n, conv.elem_bytes
+    s, p = conv.s, conv.p
+    group = conv.m if q is ScheduleKind.IS else tile.t_m
 
-    cr = ceil_div(slice_.tle_r, tile.t_r)
-    cc = ceil_div(conv.c, tile.t_c)
-    cn = ceil_div(conv.n, tile.t_n)
-    cm = ceil_div(slice_.tle_w, tile.t_m)
+    cr = ceil_div(slice_.tle_r, t_r)
+    cc = ceil_div(conv.c, t_c)
+    cn = ceil_div(conv.n, t_n)
+    cm = ceil_div(slice_.tle_w, group)
+    origins = [_slice_origin(slice_, tle, arch.n_tle) for tle in range(arch.n_tle)]
 
     events: list[TransferEvent] = []
     loads_in = loads_w = stores_out = 0
-
-    def emit(kind: TileKind, tle: int, dims, origin, extent) -> None:
-        runs = tuple(box_runs(dims, origin, extent, conv.elem_bytes))
-        events.append(
-            TransferEvent(
-                kind=kind,
-                tle=tle,
-                origin=origin,
-                extent=extent,
-                map_dims=dims,
-                elem_bytes=conv.elem_bytes,
-                runs=runs,
-            )
-        )
-
-    for tle in range(arch.n_tle):
-        row0, fil0 = _slice_origin(slice_, tle, arch.n_tle)
-
-        def in_load(kr: int, kc: int, kn: int, tle: int = tle, row0: int = row0) -> None:
-            nonlocal loads_in
-            loads_in += 1
-            if keep_events:
-                origin = (
-                    kn * tile.t_n,
-                    (row0 + kr * tile.t_r) * conv.s - conv.p,
-                    kc * tile.t_c * conv.s - conv.p,
-                )
-                emit(TileKind.IN, tle, in_dims, origin, in_extent)
-
-        def w_load(km: int, kn: int, tle: int = tle, fil0: int = fil0) -> None:
-            nonlocal loads_w
-            loads_w += 1
-            if keep_events:
-                depth0 = 0 if q is ScheduleKind.WS else kn * tile.t_n
-                emit(TileKind.W, tle, w_dims, (fil0 + km * tile.t_m, depth0, 0), w_extent)
-
-        if q is ScheduleKind.IS:
-            for kr in range(cr):
-                for kc in range(cc):
-                    for kn in range(cn):
-                        in_load(kr, kc, kn)
-                        w_load(0, kn)
-        elif q is ScheduleKind.OS:
-            for kr in range(cr):
-                for kc in range(cc):
-                    for km in range(cm):
-                        for kn in range(cn):
-                            in_load(kr, kc, kn)
-                            w_load(km, kn)
-        else:
+    for tle, (row0, fil0) in enumerate(origins):
+        if q is ScheduleKind.WS:
+            # A filter group's weights load once, then every input tile streams past.
             for km in range(cm):
-                w_load(km, 0)
-                for kr in range(cr):
-                    for kc in range(cc):
-                        for kn in range(cn):
-                            in_load(kr, kc, kn)
+                loads_w += 1
+                if keep_events:
+                    w_origin = (fil0 + km * group, 0, 0)
+                    events.append(_event(TileKind.W, tle, w_dims, w_origin, w_extent, e))
+                for kr, kc, kn in product(range(cr), range(cc), range(cn)):
+                    loads_in += 1
+                    if keep_events:
+                        origin = (kn * t_n, (row0 + kr * t_r) * s - p, kc * t_c * s - p)
+                        events.append(_event(TileKind.IN, tle, in_dims, origin, in_extent, e))
+        else:
+            for kr, kc, km, kn in product(range(cr), range(cc), range(cm), range(cn)):
+                loads_in += 1
+                loads_w += 1
+                if keep_events:
+                    origin = (kn * t_n, (row0 + kr * t_r) * s - p, kc * t_c * s - p)
+                    events.append(_event(TileKind.IN, tle, in_dims, origin, in_extent, e))
+                    w_origin = (fil0 + km * group, kn * t_n, 0)
+                    events.append(_event(TileKind.W, tle, w_dims, w_origin, w_extent, e))
 
-    gr = ceil_div(conv.r, tile.t_r)
-    gc = ceil_div(conv.c, tile.t_c)
-    gm = ceil_div(conv.m, tile.t_m)
-    half = max(arch.n_tle // 2, 1)
-
-    def store_tle(kr: int, km: int) -> int:
-        # Attribute the store to the cluster whose slice holds the tile start.
-        if slice_.kind is TlePartitionKind.KS:
-            return min(km * tile.t_m // slice_.tle_w, arch.n_tle - 1)
-        if slice_.kind is TlePartitionKind.OFM:
-            return min(kr * tile.t_r // slice_.tle_r, arch.n_tle - 1)
-        r_grp = min(kr * tile.t_r // slice_.tle_r, half - 1)
-        w_grp = min(km * tile.t_m // slice_.tle_w, half - 1)
-        return r_grp * half + w_grp
-
-    def out_store(kr: int, kc: int, km: int) -> None:
-        nonlocal stores_out
+    gr = ceil_div(conv.r, t_r)
+    gm = ceil_div(conv.m, group)
+    # WS walks filter groups outermost; IS and OS walk them innermost.
+    if q is ScheduleKind.WS:
+        stores = product(range(gm), range(gr), range(cc))
+    else:
+        stores = ((km, kr, kc) for kr, kc, km in product(range(gr), range(cc), range(gm)))
+    for km, kr, kc in stores:
         stores_out += 1
         if keep_events:
-            if q is ScheduleKind.IS:
-                origin = (0, kr * tile.t_r, kc * tile.t_c)
-                extent = (conv.m, tile.t_r, tile.t_c)
-            else:
-                origin = (km * tile.t_m, kr * tile.t_r, kc * tile.t_c)
-                extent = out_extent
-            emit(TileKind.OUT, store_tle(kr, km), out_dims, origin, extent)
+            fil, row = km * group, kr * t_r
+            owner = max(t for t, (r0, f0) in enumerate(origins) if r0 <= row and f0 <= fil)
+            origin = (fil, row, kc * t_c)
+            events.append(_event(TileKind.OUT, owner, out_dims, origin, (group, t_r, t_c), e))
 
-    if q is ScheduleKind.IS:
-        for kr in range(gr):
-            for kc in range(gc):
-                out_store(kr, kc, 0)
-    elif q is ScheduleKind.OS:
-        for kr in range(gr):
-            for kc in range(gc):
-                for km in range(gm):
-                    out_store(kr, kc, km)
-    else:
-        for km in range(gm):
-            for kr in range(gr):
-                for kc in range(gc):
-                    out_store(kr, kc, km)
-
-    trace = TransferTrace(
-        events=events,
-        loads_in=loads_in,
-        loads_w=loads_w,
-        stores_out=stores_out,
-    )
+    trace = TransferTrace(events, loads_in, loads_w, stores_out)
     if count_bursts:
         trace.total_bursts = count_bursts_exact(trace, arch)
     return trace

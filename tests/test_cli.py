@@ -274,6 +274,15 @@ class TestSimulateCommand:
         assert err.startswith(f"error: {out} is not valid JSON: ")
         assert err.count("\n") == 1
 
+    def test_missing_plan_file_is_a_read_error(self, toy_files, tmp_path, capsys):
+        model_path, arch_path = toy_files
+        missing = tmp_path / "missing.json"
+        rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(missing)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot read {missing}: ")
+        assert err.count("\n") == 1
+
     def test_unwritable_trace_path_exits_1(self, toy_files, tmp_path, capsys):
         model_path, arch_path, out = self.plan_file(toy_files, tmp_path)
         capsys.readouterr()

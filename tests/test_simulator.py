@@ -1,5 +1,7 @@
 """Event-level schedule replay: origins, store coverage, and burst totals."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -200,3 +202,55 @@ class TestBurstTotals:
         conv, arch, slice_, tile = self.build(q)
         trace = simulate_schedule(q, conv, slice_, tile, arch, count_bursts=True)
         assert trace.total_bursts == count_bursts_exact(trace, arch)
+
+
+# sha256 of each replay's event list on conv_for(n=3, h=9, l=7, m=6, k=3, s=2,
+# p=1) over 4 TLEs of 2 TLTs, keyed by partition, schedule and (t_n, t_r, t_c).
+# They pin the event order of every schedule, not only the IS order that the
+# sample plans cover.
+EVENT_DIGESTS = {
+    ("ks", "is", (2, 2, 3)): "f3a3de11a02eb6e51a0ce665c66d0fe599eb19cc6a5e278d7ddf0b1958af89cd",
+    ("ks", "is", (3, 1, 4)): "2d1a9cc745ce6f75e7f5aa98bcd18d66709611e276959be13f2fd9b1e9c11e06",
+    ("ks", "os", (2, 2, 3)): "1d5945924364229c9fea25fd22476d0bc3a6196c3218f050755de7edc877eca9",
+    ("ks", "os", (3, 1, 4)): "17e88d326d1623e6f6c9e1eecc8ca8fa3793b71f44e1e77cc073f7f528fbeae5",
+    ("ks", "ws", (2, 2, 3)): "88c87c822e048cc2cf8f231dc7d87d8f420e0f2be87385cb3ccf418dd2bd150c",
+    ("ks", "ws", (3, 1, 4)): "e84a8f300928ff01607d32fdb1a28af75beddd037baf7baaff90c9abe694274e",
+    ("ksofm", "is", (2, 2, 3)): "cc5b60bf08906b01a4d80d2ec03ab2a5e6490f6aec61c3610f6c3b2c4c43a4ae",
+    ("ksofm", "is", (3, 1, 4)): "05ffa3bdf53efad9e25cbeda5e5f71e0f3c69478533ef6edc889b2b0fea885f9",
+    ("ksofm", "os", (2, 2, 3)): "19df19e9be08270310afca9c32bcbef3aa9d42464c5b70cb179826050d57d414",
+    ("ksofm", "os", (3, 1, 4)): "e96d94671ea8fbce675c5ff1da2ff62a40f31c2ec814787ec3fd6bfbc6d32e6b",
+    ("ksofm", "ws", (2, 2, 3)): "879186e54d71af94e13e512f581a67efd6bb8da35cd766a4e9fb9048b4807b6b",
+    ("ksofm", "ws", (3, 1, 4)): "5b7d30a9f484a0afbd458d49676f8111741283b5042f12a6e19d1d90efff7044",
+    ("ofm", "is", (2, 2, 3)): "59b2697fd4423311dbe518cedbf519fc49026489e0938d9f4baa0bff21e7d2c3",
+    ("ofm", "is", (3, 1, 4)): "4749c2a4124926dd5f4d948d23cfb5d5789ef9ab12982191d95c1fbe8dfaee88",
+    ("ofm", "os", (2, 2, 3)): "4a42776412f0818a7a4f301d394d9af6b47e599b920041082aec80149ac316b3",
+    ("ofm", "os", (3, 1, 4)): "02056f5cc1ab9dfca3a5c1cd1ebcf3734412a95eeb7841f79bfe66139a1e0d45",
+    ("ofm", "ws", (2, 2, 3)): "10e9d0602e60e9ebce0a03d929963b840bec07f3bc04630aceb9b7e093be3693",
+    ("ofm", "ws", (3, 1, 4)): "c1fea1aa8e3dccbf717cf40a86d1ab809b7ecf85c8ab5a04e3beaa1919ce6596",
+}
+
+
+@pytest.mark.parametrize("key", sorted(EVENT_DIGESTS), ids=str)
+def test_event_list_is_pinned(key):
+    kind, q, shape = TlePartitionKind(key[0]), ScheduleKind(key[1]), key[2]
+    conv = conv_for(n=3, h=9, l=7, m=6, k=3, s=2, p=1)  # r = 5, c = 4
+    arch = arch_for(n_tle=4, n_tlt=2)
+    slice_ = tle_slicing(kind, conv, 4)
+    tile = tile_with_filters(q, conv, arch, slice_, *shape)
+    trace = simulate_schedule(q, conv, slice_, tile, arch)
+    rows = [(e.kind.value, e.tle, e.origin, e.extent, e.map_dims, e.runs) for e in trace.events]
+    assert hashlib.sha256(repr(rows).encode()).hexdigest() == EVENT_DIGESTS[key]
+
+
+@pytest.mark.parametrize("n_tle", [2, 4, 6, 8])
+@pytest.mark.parametrize("q", list(ScheduleKind))
+@pytest.mark.parametrize("t_r", [2, 4])
+def test_every_event_belongs_to_an_existing_tle(n_tle, q, t_r):
+    conv = conv_for(n=2, h=12, l=12, m=12, k=1)  # r = c = 12
+    arch = arch_for(n_tle=n_tle, n_tlt=2)
+    slice_ = tle_slicing(TlePartitionKind.KS_OFM, conv, n_tle)
+    tile = tile_with_filters(q, conv, arch, slice_, 2, t_r, 12)
+    trace = simulate_schedule(q, conv, slice_, tile, arch)
+    stores = [e for e in trace.events if e.kind is TileKind.OUT]
+    assert stores
+    assert all(0 <= e.tle < n_tle for e in trace.events)
