@@ -9,11 +9,10 @@ or input error, 2 no feasible plan, 3 plan verification failure.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import fields
 
-from .configs import ArchConfig, ConfigError, ModelSpec, parse_arch, parse_model
+from .configs import ArchConfig, ConfigError, ModelSpec, load_json, parse_arch, parse_model
 from .costmodel import TileKind, calc_burst_count, calc_time, compute_alphas
 from .report import (
     compare_csv,
@@ -116,16 +115,9 @@ def _read_text(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror or exc}") from exc
-
-
-def _read_json(path: str):
-    text = _read_text(path)
-    try:
-        return json.loads(text)
-    except ValueError as exc:
-        raise ConfigError(f"{path} is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ConfigError(f"cannot read {path}: {reason}") from exc
 
 
 def _write_text(path: str | None, text: str) -> None:
@@ -188,7 +180,7 @@ def cmd_roofline(args) -> int:
 
 def cmd_simulate(args) -> int:
     model, arch = _load_inputs(args)
-    doc = plan_from_json_dict(_read_json(args.plan))
+    doc = plan_from_json_dict(load_json(_read_text(args.plan), "plan"))
     if doc.model != model.name:
         raise ConfigError(f"plan is for model {doc.model!r}, file defines {model.name!r}")
     if doc.arch_digest != arch.digest():

@@ -1,4 +1,4 @@
-"""Model and architecture description files.
+"""Input documents: model, architecture and plan files.
 
 Two JSON documents drive the planner:
 
@@ -26,13 +26,18 @@ Two JSON documents drive the planner:
   and ``sw_overhead_ns`` once per tile transfer; both accept decimals, as do
   ``freq_hz`` and ``bw_bytes_per_s``.  Every other field must be an integer.
 
-The readers follow the dataclass fields of :class:`ConvLayerSpec` and
-:class:`ArchConfig`: a field without a default is a required key, a field
-with one is optional, and any other key is rejected.  Integer and number
-fields are read in declaration order, integers at least 1 and numbers at
-least 0.0 unless the field's metadata names another ``minimum``.  Integers
-are capped at ``INT_MAX`` (2**31 - 1); the search bounds their products
-where a layer meets an architecture.
+These two and the plan file (``report.PlanDoc``) that ``plan --out`` writes
+and ``simulate --plan`` reads are decoded by one loader, :func:`load_json`.
+One reader, :func:`read_fields`, checks each JSON object against the fields
+of its dataclass: a field without a default is a required key, a field with
+one is optional, and any other key is rejected. Values are read in
+declaration order: integers at least 1 and at most ``INT_MAX`` (2**31 - 1),
+numbers finite and at least 0.0, unless the field's metadata names another
+``minimum`` or ``maximum``; strings non-empty; enum fields one of their
+values. The search bounds the products of layer and architecture integers.
+Plan tile sides are at least 1 and plan move and burst counts at least 0;
+neither is capped, as valid counts may reach 3 * 2**61
+(``search._PRODUCT_MAX``).
 
 Parsed documents round-trip through :func:`model_to_json_dict` /
 :func:`arch_to_json_dict` unchanged.
@@ -40,10 +45,13 @@ Parsed documents round-trip through :func:`model_to_json_dict` /
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
 from dataclasses import MISSING, asdict, dataclass, field, fields
+from enum import Enum
+from typing import get_type_hints
 
 
 class ConfigError(ValueError):
@@ -156,67 +164,86 @@ def nmp_profile() -> ArchConfig:
     )
 
 
-def _load_json(text: str, what: str) -> object:
+def load_json(text: str, what: str) -> object:
+    """Decode one input document; every decoding failure is a ConfigError."""
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{what}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
-    except ValueError as exc:  # an integer literal beyond Python's digit limit
+    except (ValueError, RecursionError) as exc:
+        # an integer literal beyond Python's digit limit, or nesting deeper
+        # than the recursion limit
         raise ConfigError(f"{what}: {exc}") from exc
 
 
-def _require_keys(obj: dict, cls, what: str) -> None:
-    """obj holds every field of cls without a default, and no other key."""
-    missing = {f.name for f in fields(cls) if f.default is MISSING} - obj.keys()
+@functools.cache
+def _schema(cls) -> tuple[frozenset, frozenset, tuple]:
+    """Key names, required key names and (name, type, limits) per field of cls."""
+    hints = get_type_hints(cls)
+    schema = []
+    for f in fields(cls):
+        kind = hints[f.name]
+        limits = {}
+        if kind is int:
+            limits = {"minimum": 1, "maximum": INT_MAX, **f.metadata}
+        elif kind is float:
+            limits = {"minimum": 0.0, **f.metadata}
+        elif not (kind is str or isinstance(kind, type) and issubclass(kind, Enum)):
+            kind = None
+        schema.append((f.name, kind, limits))
+    required = frozenset(f.name for f in fields(cls) if f.default is MISSING)
+    return frozenset(name for name, _, _ in schema), required, tuple(schema)
+
+
+def read_fields(obj: object, cls, what: str) -> dict:
+    """The fields of dataclass cls that the JSON object obj holds, checked by
+    the rules in the module docstring.  Values of types other than int, float,
+    str and Enum, such as nested lists, are returned unread."""
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{what}: must be a JSON object")
+    names, required, schema = _schema(cls)
+    missing = required - obj.keys()
     if missing:
         raise ConfigError(f"{what}: missing field {sorted(missing)[0]!r}")
-    unknown = obj.keys() - {f.name for f in fields(cls)}
+    unknown = obj.keys() - names
     if unknown:
         raise ConfigError(f"{what}: unknown field {sorted(unknown)[0]!r}")
-
-
-def _int_field(obj: dict, key: str, what: str, minimum: int = 1) -> int:
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{what}: {key} must be an integer")
-    if value < minimum:
-        raise ConfigError(f"{what}: {key} must be >= {minimum}, got {value}")
-    if value > INT_MAX:
-        raise ConfigError(f"{what}: {key} must be <= {INT_MAX}")
-    return value
-
-
-def finite_number(value: object) -> float | None:
-    """A JSON number as a float, or None for non-numbers, bools, NaN and
-    values beyond the float range."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        return None
-    try:
-        value = float(value)
-    except OverflowError:
-        return None
-    return value if math.isfinite(value) else None
-
-
-def _number_field(obj: dict, key: str, what: str, minimum: float = 0.0) -> float:
-    value = finite_number(obj[key])
-    if value is None:
-        raise ConfigError(f"{what}: {key} must be a finite number")
-    if value < minimum:
-        raise ConfigError(f"{what}: {key} must be >= {minimum}, got {value}")
-    return value
-
-
-def _numeric_fields(obj: dict, cls, what: str) -> dict:
-    """The int and float fields of cls that obj holds, read in declaration
-    order with the minimum in each field's metadata.  Annotations are
-    strings here (postponed evaluation), so their names pick the reader."""
-    read = {"int": _int_field, "float": _number_field}
     return {
-        f.name: read[f.type](obj, f.name, what, **f.metadata)
-        for f in fields(cls)
-        if f.type in read and f.name in obj
+        key: _read_value(obj[key], kind, limits, what, key)
+        for key, kind, limits in schema
+        if key in obj
     }
+
+
+def _read_value(value: object, kind, limits: dict, what: str, key: str) -> object:
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ConfigError(f"{what}: {key} must be an integer")
+        if value < limits["minimum"]:
+            raise ConfigError(f"{what}: {key} must be >= {limits['minimum']}, got {value}")
+        if limits["maximum"] is not None and value > limits["maximum"]:
+            raise ConfigError(f"{what}: {key} must be <= {limits['maximum']}")
+    elif kind is float:
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            raise ConfigError(f"{what}: {key} must be a finite number")
+        try:
+            value = float(value)
+        except OverflowError:  # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{what}: {key} must be a finite number")
+        if value < limits["minimum"]:
+            raise ConfigError(f"{what}: {key} must be >= {limits['minimum']}, got {value}")
+    elif kind is str:
+        if not isinstance(value, str) or not value:
+            raise ConfigError(f"{what}: {key} must be a non-empty string")
+    elif kind is not None:
+        try:
+            return kind(value)
+        except ValueError:
+            choices = [member.value for member in kind]
+            raise ConfigError(f"{what}: {key} must be one of {choices}, got {value!r}") from None
+    return value
 
 
 def validate_conv(conv: ConvLayerSpec) -> ConvLayerSpec:
@@ -238,48 +265,33 @@ def validate_conv(conv: ConvLayerSpec) -> ConvLayerSpec:
 
 
 def parse_model(text: str) -> ModelSpec:
-    doc = _load_json(text, "model")
-    if not isinstance(doc, dict):
-        raise ConfigError("model: document must be a JSON object")
-    _require_keys(doc, ModelSpec, "model")
-    if not isinstance(doc["name"], str) or not doc["name"]:
-        raise ConfigError("model: name must be a non-empty string")
+    doc = read_fields(load_json(text, "model"), ModelSpec, "model")
     if not isinstance(doc["layers"], list) or not doc["layers"]:
         raise ConfigError("model: layers must be a non-empty array")
 
     layers = []
     seen = set()
     for idx, raw in enumerate(doc["layers"]):
-        what = f"layers[{idx}]"
-        if not isinstance(raw, dict):
-            raise ConfigError(f"{what}: must be a JSON object")
-        _require_keys(raw, ConvLayerSpec, what)
-        if not isinstance(raw["name"], str) or not raw["name"]:
-            raise ConfigError(f"{what}: name must be a non-empty string")
-        if raw["name"] in seen:
-            raise ConfigError(f"model: duplicate layer name {raw['name']!r}")
-        seen.add(raw["name"])
-        conv = ConvLayerSpec(name=raw["name"], **_numeric_fields(raw, ConvLayerSpec, what))
+        conv = ConvLayerSpec(**read_fields(raw, ConvLayerSpec, f"layers[{idx}]"))
+        if conv.name in seen:
+            raise ConfigError(f"model: duplicate layer name {conv.name!r}")
+        seen.add(conv.name)
         layers.append(validate_conv(conv))
     return ModelSpec(name=doc["name"], layers=tuple(layers))
 
 
 def parse_arch(text: str) -> ArchConfig:
-    doc = _load_json(text, "arch")
-    if not isinstance(doc, dict):
-        raise ConfigError("arch: document must be a JSON object")
-    _require_keys(doc, ArchConfig, "arch")
-
-    burst = _int_field(doc, "burst_bytes", "arch")
+    arch = ArchConfig(**read_fields(load_json(text, "arch"), ArchConfig, "arch"))
+    burst = arch.burst_bytes
     if burst & (burst - 1):
         raise ConfigError(f"arch: burst_bytes must be a power of two, got {burst}")
-    bits = _int_field(doc, "datapath_bits", "arch")
     for width in SUPPORTED_ELEM_BYTES:
-        if bits % (8 * width):
+        if arch.datapath_bits % (8 * width):
             raise ConfigError(
-                f"arch: datapath_bits {bits} not divisible by {8 * width}-bit element width"
+                f"arch: datapath_bits {arch.datapath_bits} not divisible by"
+                f" {8 * width}-bit element width"
             )
-    return ArchConfig(**_numeric_fields(doc, ArchConfig, "arch"))
+    return arch
 
 
 def model_to_json_dict(model: ModelSpec) -> dict:

@@ -11,11 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import Field, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import get_type_hints
 
-from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, finite_number
+from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, read_fields
 from .costmodel import transfer_time
 from .search import PlanEntry, PlanMap, StrategyComparison
 from .slicing import ScheduleKind, TlePartitionKind
@@ -26,8 +25,10 @@ def format_us(seconds: float) -> float:
     return round(seconds * 1e6, 3)
 
 
-# Tile sides and windows are at least 1; every other count may be 0.
-_TILE_DIM = {"minimum": 1}
+# Tile sides and windows are at least 1 and move and burst counts at least 0.
+# Neither is capped at INT_MAX: valid counts may reach 3 * 2**61.
+_SIDE = {"minimum": 1, "maximum": None}
+_COUNT = {"minimum": 0, "maximum": None}
 
 
 @dataclass(frozen=True)
@@ -38,18 +39,18 @@ class PlanEntryDoc:
     layer: str
     tle_partition: TlePartitionKind
     schedule: ScheduleKind
-    t_m: int = field(metadata=_TILE_DIM)
-    t_n: int = field(metadata=_TILE_DIM)
-    t_r: int = field(metadata=_TILE_DIM)
-    t_c: int = field(metadata=_TILE_DIM)
-    t_h: int = field(metadata=_TILE_DIM)
-    t_l: int = field(metadata=_TILE_DIM)
-    alpha_in: int
-    alpha_w: int
-    alpha_out: int
-    bursts_in: int
-    bursts_w: int
-    bursts_out: int
+    t_m: int = field(metadata=_SIDE)
+    t_n: int = field(metadata=_SIDE)
+    t_r: int = field(metadata=_SIDE)
+    t_c: int = field(metadata=_SIDE)
+    t_h: int = field(metadata=_SIDE)
+    t_l: int = field(metadata=_SIDE)
+    alpha_in: int = field(metadata=_COUNT)
+    alpha_w: int = field(metadata=_COUNT)
+    alpha_out: int = field(metadata=_COUNT)
+    bursts_in: int = field(metadata=_COUNT)
+    bursts_w: int = field(metadata=_COUNT)
+    bursts_out: int = field(metadata=_COUNT)
     t_mac_us: float
     t_dram_us: float
     t_sw_us: float
@@ -65,7 +66,6 @@ class PlanDoc:
 
 
 _ENTRY_FIELDS = fields(PlanEntryDoc)
-_ENTRY_TYPES = get_type_hints(PlanEntryDoc)
 
 
 def entry_doc(entry: PlanEntry) -> PlanEntryDoc:
@@ -115,53 +115,17 @@ def plan_json_text(plan: PlanMap, arch: ArchConfig) -> str:
     return json.dumps(plan_to_json_dict(plan, arch), indent=2) + "\n"
 
 
-def _entry_value(where: str, f: Field, value: object) -> object:
-    kind = _ENTRY_TYPES[f.name]
-    if kind is str:
-        return str(value)
-    if issubclass(kind, Enum):
-        try:
-            return kind(value)
-        except ValueError:
-            raise ConfigError(f"{where}: unknown {f.name} {value!r}") from None
-    if kind is int:
-        minimum = f.metadata.get("minimum", 0)
-        if isinstance(value, bool) or not isinstance(value, int) or value < minimum:
-            raise ConfigError(f"{where}: field {f.name!r} must be an integer >= {minimum}")
-        return value
-    number = finite_number(value)
-    if number is None or number < 0:
-        raise ConfigError(f"{where}: field {f.name!r} must be a finite non-negative number")
-    return number
-
-
 def plan_from_json_dict(data: object) -> PlanDoc:
-    if not isinstance(data, dict):
-        raise ConfigError("plan document must be a JSON object")
-    for f in fields(PlanDoc):
-        if f.name not in data:
-            raise ConfigError(f"plan document missing field {f.name!r}")
-    if data["mode"] not in ("burst", "noburst"):
-        raise ConfigError(f"plan mode must be 'burst' or 'noburst', got {data['mode']!r}")
-    if not isinstance(data["entries"], list) or not data["entries"]:
-        raise ConfigError("plan field 'entries' must be a non-empty array")
-    entries = []
-    for i, raw in enumerate(data["entries"]):
-        if not isinstance(raw, dict):
-            raise ConfigError(f"plan entry {i} must be a JSON object")
-        where = f"plan entry {i}"
-        for f in _ENTRY_FIELDS:
-            if f.name not in raw:
-                raise ConfigError(f"{where} missing field {f.name!r}")
-        entries.append(
-            PlanEntryDoc(**{f.name: _entry_value(where, f, raw[f.name]) for f in _ENTRY_FIELDS})
-        )
-    return PlanDoc(
-        model=str(data["model"]),
-        arch_digest=str(data["arch_digest"]),
-        mode=str(data["mode"]),
-        entries=tuple(entries),
+    doc = read_fields(data, PlanDoc, "plan")
+    if doc["mode"] not in ("burst", "noburst"):
+        raise ConfigError(f"plan: mode must be 'burst' or 'noburst', got {doc['mode']!r}")
+    if not isinstance(doc["entries"], list) or not doc["entries"]:
+        raise ConfigError("plan: entries must be a non-empty array")
+    entries = tuple(
+        PlanEntryDoc(**read_fields(raw, PlanEntryDoc, f"plan entry {i}"))
+        for i, raw in enumerate(doc["entries"])
     )
+    return PlanDoc(**{**doc, "entries": entries})
 
 
 @dataclass(frozen=True)

@@ -259,7 +259,7 @@ class TestSimulateCommand:
         capsys.readouterr()
         rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(out)])
         assert rc == 1
-        assert capsys.readouterr().err == "error: plan entry 0: field 't_m' must be an integer >= 1\n"
+        assert capsys.readouterr().err == "error: plan entry 0: t_m must be >= 1, got 0\n"
 
     def test_integer_literal_beyond_digit_limit_exits_1(self, toy_files, tmp_path, capsys):
         # Python refuses to read integer literals of more than 4300 digits.
@@ -271,7 +271,27 @@ class TestSimulateCommand:
         rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(out)])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith(f"error: {out} is not valid JSON: ")
+        assert err.startswith("error: plan: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("flag", ["--model", "--arch", "--plan"])
+    @pytest.mark.parametrize(
+        "content,message",
+        [(b"\xff\xfe{}", "cannot read {path}: "), (b"[" * 200_000, "{what}: ")],
+        ids=["not-utf8", "nested-200000-deep"],
+    )
+    def test_undecodable_input_exits_1(
+        self, toy_files, tmp_path, capsys, flag, content, message
+    ):
+        model_path, arch_path, out = self.plan_file(toy_files, tmp_path)
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(content)
+        paths = {"--model": model_path, "--arch": arch_path, "--plan": str(out), flag: str(bad)}
+        capsys.readouterr()
+        rc = main(["simulate", *(arg for pair in paths.items() for arg in pair)])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message.format(path=bad, what=flag[2:]))
         assert err.count("\n") == 1
 
     def test_missing_plan_file_is_a_read_error(self, toy_files, tmp_path, capsys):

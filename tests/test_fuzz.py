@@ -45,8 +45,8 @@ PATHS = {
     "model": [("name",), ("layers",), ("extra",)]
     + [("layers", i, key) for i in (0, 1) for key in (*MODEL["layers"][0], "extra")],
     "arch": [(key,) for key in (*ARCH, "extra")],
-    "plan": [("model",), ("arch_digest",), ("mode",), ("entries",)]
-    + [("entries", i, key) for i in (0, 1) for key in ENTRY_KEYS],
+    "plan": [("model",), ("arch_digest",), ("mode",), ("entries",), ("extra",)]
+    + [("entries", i, key) for i in (0, 1) for key in (*ENTRY_KEYS, "extra")],
 }
 DELETE = "<delete>"
 VALUES = st.one_of(

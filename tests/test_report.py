@@ -1,11 +1,14 @@
 """Plan serialization, phase breakdowns, roofline points, and CSV/table output."""
 
 import json
+from dataclasses import fields
 
 import pytest
 
+from tsoplan.cli import main
 from tsoplan.configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, nmp_profile
 from tsoplan.report import (
+    PlanEntryDoc,
     breakdown_rows,
     compare_csv,
     format_us,
@@ -40,6 +43,27 @@ def toy_plan():
     model = random_toy_model(21)
     arch = nmp_profile()
     return model, arch, tso(model, arch)
+
+
+# Each plan entry field: a value below its minimum, or one its type refuses,
+# and the exact message.
+ENTRY_BAD_VALUES = {
+    "layer": ("", "layer must be a non-empty string"),
+    "tle_partition": ("rows", "tle_partition must be one of ['ks', 'ksofm', 'ofm'], got 'rows'"),
+    "schedule": ("ks", "schedule must be one of ['is', 'os', 'ws'], got 'ks'"),
+    **{
+        key: (0, f"{key} must be >= 1, got 0")
+        for key in ("t_m", "t_n", "t_r", "t_c", "t_h", "t_l")
+    },
+    **{
+        key: (-1, f"{key} must be >= 0, got -1")
+        for key in ("alpha_in", "alpha_w", "alpha_out", "bursts_in", "bursts_w", "bursts_out")
+    },
+    **{
+        key: (-1, f"{key} must be >= 0.0, got -1.0")
+        for key in ("t_mac_us", "t_dram_us", "t_sw_us", "t_total_us")
+    },
+}
 
 
 class TestFormatUs:
@@ -136,6 +160,63 @@ class TestPlanJson:
     def test_non_object_document_is_rejected(self):
         with pytest.raises(ConfigError, match="object"):
             plan_from_json_dict(["not", "a", "plan"])
+
+    @pytest.mark.parametrize("key", [f.name for f in fields(PlanEntryDoc)])
+    def test_entry_field_messages(self, toy_plan, key):
+        _, arch, plan = toy_plan
+        data = plan_to_json_dict(plan, arch)
+        value, message = ENTRY_BAD_VALUES[key]
+        data["entries"][1][key] = value
+        with pytest.raises(ConfigError) as info:
+            plan_from_json_dict(data)
+        assert str(info.value) == f"plan entry 1: {message}"
+        del data["entries"][1][key]
+        with pytest.raises(ConfigError) as info:
+            plan_from_json_dict(data)
+        assert str(info.value) == f"plan entry 1: missing field {key!r}"
+
+    @pytest.mark.parametrize(
+        "path,key,value,message",
+        [
+            ((), "extra", 1, "plan: unknown field 'extra'"),
+            (("entries", 0), "extra", 1, "plan entry 0: unknown field 'extra'"),
+            ((), "model", 5, "plan: model must be a non-empty string"),
+            ((), "arch_digest", None, "plan: arch_digest must be a non-empty string"),
+            (("entries", 0), "layer", None, "plan entry 0: layer must be a non-empty string"),
+        ],
+    )
+    def test_unknown_key_or_non_string_name_is_rejected(
+        self, toy_plan, path, key, value, message
+    ):
+        _, arch, plan = toy_plan
+        data = plan_to_json_dict(plan, arch)
+        node = data
+        for step in path:
+            node = node[step]
+        node[key] = value
+        with pytest.raises(ConfigError) as info:
+            plan_from_json_dict(data)
+        assert str(info.value) == message
+
+    def test_counts_beyond_int32_are_read_and_audited(
+        self, toy_plan, write_configs, tmp_path, capsys
+    ):
+        # Move counts are not capped at 2**31 - 1: the reader accepts a wrong
+        # count of 2**40 and simulate reports the mismatch, exit 3, not 1.
+        model, arch, plan = toy_plan
+        data = plan_to_json_dict(plan, arch)
+        data["entries"][0]["alpha_in"] = 2**40
+        assert plan_from_json_dict(data).entries[0].alpha_in == 2**40
+        model_path, arch_path = write_configs(model, arch)
+        plan_path = tmp_path / "plan.json"
+        plan_path.write_text(json.dumps(data))
+        argv = ["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(plan_path)]
+        rc = main(argv)
+        assert rc == 3
+        layer = data["entries"][0]["layer"]
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith(f"FAIL {layer}: alpha_in stored {2**40}, recomputed ")
+                   for line in lines)
 
 
 class TestBreakdown:
