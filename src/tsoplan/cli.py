@@ -12,8 +12,12 @@ import argparse
 import sys
 from dataclasses import fields
 
-from .configs import ArchConfig, ConfigError, ModelSpec, load_json, parse_arch, parse_model
-from .costmodel import TileKind, calc_burst_count, calc_time, compute_alphas
+# Not called here: bench/traced.py wraps these three names as attributes of this module.
+from . import calc_time, compute_alphas, gen_tile  # noqa: F401
+from .configs import (
+    ArchConfig, ConfigError, ModelSpec, clip_repr, load_json, parse_arch, parse_model
+)
+from .costmodel import TileKind, calc_burst_count
 from .report import (
     compare_csv,
     entry_doc,
@@ -23,9 +27,9 @@ from .report import (
     roofline_csv,
     roofline_points,
 )
-from .search import PlanEntry, PlanError, compare_strategies, tso
+from .search import PlanError, build_entry, compare_strategies, tso
 from .simulator import simulate_schedule
-from .slicing import Infeasible, ScheduleKind, TlePartitionKind, gen_tile, get_filters, tle_slicing
+from .slicing import Infeasible, ScheduleKind, TlePartitionKind, tle_slicing
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -106,9 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load_inputs(args) -> tuple[ModelSpec, ArchConfig]:
-    model = parse_model(_read_text(args.model))
-    arch = parse_arch(_read_text(args.arch))
-    return model, arch
+    return parse_model(_read_text(args.model)), parse_arch(_read_text(args.arch))
 
 
 def _read_text(path: str) -> str:
@@ -182,40 +184,35 @@ def cmd_simulate(args) -> int:
     model, arch = _load_inputs(args)
     doc = plan_from_json_dict(load_json(_read_text(args.plan), "plan"))
     if doc.model != model.name:
-        raise ConfigError(f"plan is for model {doc.model!r}, file defines {model.name!r}")
+        raise ConfigError(
+            f"plan is for model {clip_repr(doc.model)}, file defines {clip_repr(model.name)}"
+        )
     if doc.arch_digest != arch.digest():
         raise ConfigError("plan was produced for a different architecture config")
     by_name = {conv.name: conv for conv in model.layers}
-    plan_layers = [entry.layer for entry in doc.entries]
-    if sorted(plan_layers) != sorted(by_name):
+    if sorted(stored.layer for stored in doc.entries) != sorted(by_name):
         raise ConfigError("plan layers do not match the model's layers")
 
     failures = 0
     trace_lines: list[str] | None = [] if args.dump_trace else None
     for stored in doc.entries:
         conv = by_name[stored.layer]
-        q = stored.schedule
+        sides = (stored.t_n, stored.t_r, stored.t_c)
         # Rebuild the entry as the planner does: t_m follows from the schedule.
         try:
             slice_ = tle_slicing(stored.tle_partition, conv, arch.n_tle)
-            sides, grid = (stored.t_n, stored.t_r, stored.t_c), (conv.n, slice_.tle_r, conv.c)
-            if any(side > bound for side, bound in zip(sides, grid)):
-                raise Infeasible(f"t_n, t_r, t_c = {sides} not within n, tle_r, c = {grid}")
-            t_n, t_r, t_c = sides
-            t_m = get_filters(t_r, t_c, q, slice_.tle_w, arch.n_tlt, t_n, conv, arch)
-            tile = gen_tile(t_m, t_n, t_r, t_c, q, conv, arch, slice_)
+            entry = build_entry(stored.layer, conv, arch, slice_, stored.schedule, sides, doc.mode)
         except Infeasible as exc:
             sys.stdout.write(f"FAIL {stored.layer}: stored tile is infeasible: {exc.reason}\n")
             failures += 1
             continue
-        cost = calc_time(tile, q, conv, slice_, arch, doc.mode)
-        fresh = entry_doc(PlanEntry(stored.layer, slice_, tile, q, cost))
+        fresh = entry_doc(entry)
         problems = [
             f"{f.name} stored {getattr(stored, f.name)}, recomputed {getattr(fresh, f.name)}"
             for f in fields(stored) if getattr(stored, f.name) != getattr(fresh, f.name)
         ]
 
-        alphas = compute_alphas(q, conv, slice_, tile, arch.n_tle)
+        q, tile, cost, alphas = entry.schedule, entry.tile, entry.cost, entry.cost.alphas
         trace = simulate_schedule(q, conv, slice_, tile, arch, keep_events=trace_lines is not None)
         simulated = (trace.loads_in, trace.loads_w, trace.stores_out)
         if simulated != (alphas.a_in, alphas.a_w, alphas.a_out):

@@ -164,6 +164,12 @@ def nmp_profile() -> ArchConfig:
     )
 
 
+def clip_repr(value: object) -> str:
+    """repr of a value read from a file, cut to at most 60 characters."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:57] + "..."
+
+
 def load_json(text: str, what: str) -> object:
     """Decode one input document; every decoding failure is a ConfigError."""
     try:
@@ -204,10 +210,10 @@ def read_fields(obj: object, cls, what: str) -> dict:
     names, required, schema = _schema(cls)
     missing = required - obj.keys()
     if missing:
-        raise ConfigError(f"{what}: missing field {sorted(missing)[0]!r}")
+        raise ConfigError(f"{what}: missing field {clip_repr(sorted(missing)[0])}")
     unknown = obj.keys() - names
     if unknown:
-        raise ConfigError(f"{what}: unknown field {sorted(unknown)[0]!r}")
+        raise ConfigError(f"{what}: unknown field {clip_repr(sorted(unknown)[0])}")
     return {
         key: _read_value(obj[key], kind, limits, what, key)
         for key, kind, limits in schema
@@ -219,8 +225,6 @@ def _read_value(value: object, kind, limits: dict, what: str, key: str) -> objec
     if kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{what}: {key} must be an integer")
-        if value < limits["minimum"]:
-            raise ConfigError(f"{what}: {key} must be >= {limits['minimum']}, got {value}")
         if limits["maximum"] is not None and value > limits["maximum"]:
             raise ConfigError(f"{what}: {key} must be <= {limits['maximum']}")
     elif kind is float:
@@ -232,8 +236,6 @@ def _read_value(value: object, kind, limits: dict, what: str, key: str) -> objec
             value = math.inf
         if not math.isfinite(value):
             raise ConfigError(f"{what}: {key} must be a finite number")
-        if value < limits["minimum"]:
-            raise ConfigError(f"{what}: {key} must be >= {limits['minimum']}, got {value}")
     elif kind is str:
         if not isinstance(value, str) or not value:
             raise ConfigError(f"{what}: {key} must be a non-empty string")
@@ -241,14 +243,16 @@ def _read_value(value: object, kind, limits: dict, what: str, key: str) -> objec
         try:
             return kind(value)
         except ValueError:
-            choices = [member.value for member in kind]
-            raise ConfigError(f"{what}: {key} must be one of {choices}, got {value!r}") from None
+            choices, got = [member.value for member in kind], clip_repr(value)
+            raise ConfigError(f"{what}: {key} must be one of {choices}, got {got}") from None
+    if kind in (int, float) and value < limits["minimum"]:
+        raise ConfigError(f"{what}: {key} must be >= {limits['minimum']}, got {clip_repr(value)}")
     return value
 
 
 def validate_conv(conv: ConvLayerSpec) -> ConvLayerSpec:
     """Check a layer's geometry; returns the layer unchanged if consistent."""
-    what = f"layer {conv.name!r}"
+    what = f"layer {clip_repr(conv.name)}"
     if conv.elem_bytes not in SUPPORTED_ELEM_BYTES:
         raise ConfigError(
             f"{what}: elem_bytes must be one of {SUPPORTED_ELEM_BYTES}, got {conv.elem_bytes}"
@@ -274,7 +278,7 @@ def parse_model(text: str) -> ModelSpec:
     for idx, raw in enumerate(doc["layers"]):
         conv = ConvLayerSpec(**read_fields(raw, ConvLayerSpec, f"layers[{idx}]"))
         if conv.name in seen:
-            raise ConfigError(f"model: duplicate layer name {conv.name!r}")
+            raise ConfigError(f"model: duplicate layer name {clip_repr(conv.name)}")
         seen.add(conv.name)
         layers.append(validate_conv(conv))
     return ModelSpec(name=doc["name"], layers=tuple(layers))

@@ -14,7 +14,7 @@ import json
 from dataclasses import dataclass, field, fields
 from enum import Enum
 
-from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, read_fields
+from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, clip_repr, read_fields
 from .costmodel import transfer_time
 from .search import PlanEntry, PlanMap, StrategyComparison
 from .slicing import ScheduleKind, TlePartitionKind
@@ -118,7 +118,7 @@ def plan_json_text(plan: PlanMap, arch: ArchConfig) -> str:
 def plan_from_json_dict(data: object) -> PlanDoc:
     doc = read_fields(data, PlanDoc, "plan")
     if doc["mode"] not in ("burst", "noburst"):
-        raise ConfigError(f"plan: mode must be 'burst' or 'noburst', got {doc['mode']!r}")
+        raise ConfigError(f"plan: mode must be 'burst' or 'noburst', got {clip_repr(doc['mode'])}")
     if not isinstance(doc["entries"], list) or not doc["entries"]:
         raise ConfigError("plan: entries must be a non-empty array")
     entries = tuple(

@@ -14,9 +14,10 @@ in the search statistics.
 Tile grids are priced by the same filter_count, tile_footprint and
 calc_time that price a single tile, called with numpy arrays of candidate
 sides in place of ints, so the winner is what a plain-loop sweep over the
-whole tile box would select.  Each pair's winner is then rebuilt through
-the scalar path, and its closed-form burst counts are re-counted over the
-tile's byte runs; any disagreement is an internal error.
+whole tile box would select.  Each pair's winner is then rebuilt by
+``build_entry``, the scalar path ``simulate`` also audits plans with; a t_m,
+total or burst count (re-counted over the tile's byte runs) that disagrees
+with the grid is an internal error.
 
 The pairs' winners form a table, one per distinct layer geometry (the layer
 without its name) and time model.  ``tso`` and ``plan_layer`` fill only the
@@ -34,7 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec
+from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, clip_repr
 from .costmodel import CostBreakdown, TileKind, TimeModel, calc_burst_count, calc_time
 from .slicing import (
     Infeasible,
@@ -98,7 +99,7 @@ class PlanError(Exception):
         lines = []
         for layer, attempts in failures:
             tried = "; ".join(attempts) if attempts else "nothing applicable"
-            lines.append(f"layer {layer!r}: {tried}")
+            lines.append(f"layer {clip_repr(layer)}: {tried}")
         super().__init__("no feasible plan: " + " | ".join(lines))
 
 
@@ -243,42 +244,29 @@ def _staircase(t_m, t_n, r_hi: int, c_hi: int, conv: ConvLayerSpec, arch: ArchCo
         stop = start
 
 
-def _rebuild(
-    res: _GridResult,
-    q: ScheduleKind,
-    conv: ConvLayerSpec,
-    slice_: TleSlice,
-    n_tlt: int,
-    arch: ArchConfig,
-    model: TimeModel,
-) -> tuple[TileConfig, CostBreakdown]:
-    t_r, t_c, t_n, t_m_grid = res.best
-    t_m = get_filters(t_r, t_c, q, slice_.tle_w, n_tlt, t_n, conv, arch)
+def build_entry(
+    layer: str, conv: ConvLayerSpec, arch: ArchConfig, slice_: TleSlice, q: ScheduleKind,
+    sides: tuple[int, int, int], model: TimeModel,
+) -> PlanEntry:
+    """The tile of sides (t_n, t_r, t_c) through get_filters, gen_tile and
+    calc_time; raises Infeasible if a side passes (n, tle_r, c) or no tile fits."""
+    grid = (conv.n, slice_.tle_r, conv.c)
+    if any(side > bound for side, bound in zip(sides, grid)):
+        raise Infeasible(f"t_n, t_r, t_c = {sides} not within n, tle_r, c = {grid}")
+    t_n, t_r, t_c = sides
+    t_m = get_filters(t_r, t_c, q, slice_.tle_w, arch.n_tlt, t_n, conv, arch)
     tile = gen_tile(t_m, t_n, t_r, t_c, q, conv, arch, slice_)
-    cost = calc_time(tile, q, conv, slice_, arch, model)
-    runs = tuple(calc_burst_count(kind, tile, conv, arch) for kind in TileKind)
-    if (
-        t_m != t_m_grid
-        or cost.t_total != res.best_total
-        or (cost.bursts_in, cost.bursts_w, cost.bursts_out) != runs
-    ):
-        raise RuntimeError(
-            f"internal: grid, scalar and run-enumerated costs disagree for {conv.name} "
-            f"({q.value}, t_r={t_r}, t_c={t_c}, t_n={t_n})"
-        )
-    return tile, cost
+    return PlanEntry(layer, slice_, tile, q, calc_time(tile, q, conv, slice_, arch, model))
 
 
 @dataclass(frozen=True)
 class _Cell:
-    """One partition x schedule pair of a layer geometry's table; without
-    a slice or a tile, ``reason`` says why."""
+    """One partition x schedule pair of a layer geometry's table: the grid
+    winner as build_entry prices it or, without one, the ``reason``."""
 
     partition: TlePartitionKind
     schedule: ScheduleKind
-    slice: TleSlice | None
-    tile: TileConfig | None
-    cost: CostBreakdown | None
+    entry: PlanEntry | None
     reason: str | None
     n_feasible: int
     n_candidates: int
@@ -297,8 +285,8 @@ def _table(
     window = conv.n * (conv.h + 2 * conv.p) * (conv.l + 2 * conv.p)
     if max(moves, window) > _PRODUCT_MAX:
         raise ConfigError(
-            f"layer {conv.name!r}: n_tle*m*n*r*c*k*k = {moves} and n*(h+2p)*(l+2p) = {window}"
-            " must both be <= 2**61 to be priced exactly in int64"
+            f"layer {clip_repr(conv.name)}: n_tle*m*n*r*c*k*k = {moves} and"
+            f" n*(h+2p)*(l+2p) = {window} must both be <= 2**61 to be priced exactly in int64"
         )
     schedules = (fixed_tlt,) if fixed_tlt else SCHEDULE_ORDER
     cells = []
@@ -307,33 +295,42 @@ def _table(
             slice_ = tle_slicing(p, conv, arch.n_tle)
         except Infeasible as exc:
             reason = f"{p.value}: {exc.reason}"
-            cells += [_Cell(p, q, None, None, None, reason, 0, 0) for q in schedules]
+            cells += [_Cell(p, q, None, reason, 0, 0) for q in schedules]
             continue
         for q in schedules:
             res = _grid_search(conv, arch, slice_, q, model, arch.n_tlt)
-            tile = cost = reason = None
+            entry = reason = None
             if res.best is None:
                 reason = f"{p.value}/{q.value}: no tile fits the scratchpads"
             else:
-                tile, cost = _rebuild(res, q, conv, slice_, arch.n_tlt, arch, model)
-            cells.append(_Cell(p, q, slice_, tile, cost, reason, res.n_feasible, res.n_candidates))
+                t_r, t_c, t_n, t_m = res.best
+                entry = build_entry(conv.name, conv, arch, slice_, q, (t_n, t_r, t_c), model)
+                tile, cost = entry.tile, entry.cost
+                priced = (tile.t_m, cost.t_total, cost.bursts_in, cost.bursts_w, cost.bursts_out)
+                runs = (calc_burst_count(kind, tile, conv, arch) for kind in TileKind)
+                if priced != (t_m, res.best_total, *runs):
+                    raise RuntimeError(
+                        f"internal: grid, scalar and run-enumerated costs disagree for"
+                        f" {conv.name} ({q.value}, t_r={t_r}, t_c={t_c}, t_n={t_n})"
+                    )
+            cells.append(_Cell(p, q, entry, reason, res.n_feasible, res.n_candidates))
     return tuple(cells)
 
 
 def _reduce(layer: str, cells) -> tuple[PlanEntry | None, list[str], bool]:
     """The first strict minimum over cells in canonical order, the reasons
     of the cells without a tile, and whether a cell tied the best so far."""
-    entry, attempts, tied = None, [], False
+    best, attempts, tied = None, [], False
     for cell in cells:
-        if cell.cost is None:
+        if cell.entry is None:
             # A partition that cannot split the layer is reported once.
             if cell.reason not in attempts:
                 attempts.append(cell.reason)
-        elif entry is None or cell.cost.t_total < entry.cost.t_total:
-            entry = PlanEntry(layer, cell.slice, cell.tile, cell.schedule, cell.cost)
-        elif cell.cost.t_total == entry.cost.t_total:
+        elif best is None or cell.entry.cost.t_total < best.cost.t_total:
+            best = cell.entry
+        elif cell.entry.cost.t_total == best.cost.t_total:
             tied = True
-    return entry, attempts, tied
+    return (None if best is None else replace(best, layer=layer)), attempts, tied
 
 
 def plan_layer(

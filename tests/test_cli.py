@@ -427,6 +427,123 @@ class TestSimulateCommand:
         assert any(line.startswith(f"FAIL entry: {fail}") for line in lines)
         assert lines[-1] == "1 of 3 layers failed verification"
 
+    def toy_sample_verdict(self, tmp_path, capsys):
+        files = (str(SAMPLES / "toy_model.json"), str(SAMPLES / "nmp_arch.json"))
+        model_path, arch_path, out = self.plan_file(files, tmp_path)
+        capsys.readouterr()
+        rc = main(["simulate", "--model", model_path, "--arch", arch_path, "--plan", str(out)])
+        return rc, capsys.readouterr().out.splitlines()
+
+    def test_replayed_moves_that_differ_from_the_model_exit_3(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The toy sample's first layer plans as ofm/is with 4/4/4 moves.
+        real = tsoplan.cli.simulate_schedule
+
+        def one_load_more(q, conv, *args, **kwargs):
+            trace = real(q, conv, *args, **kwargs)
+            if conv.name == "entry":
+                trace = dataclasses.replace(trace, loads_in=trace.loads_in + 1)
+            return trace
+
+        monkeypatch.setattr(tsoplan.cli, "simulate_schedule", one_load_more)
+        rc, lines = self.toy_sample_verdict(tmp_path, capsys)
+        assert rc == 3
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL entry: simulated moves (5, 4, 4), analytic Alphas(a_in=4, a_w=4, a_out=4)"
+        ]
+        assert lines[-1] == "1 of 3 layers failed verification"
+
+    def test_run_enumerated_bursts_that_differ_from_the_model_exit_3(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # The toy sample's first layer stores 15/1/8 bursts per in/w/out tile.
+        real = tsoplan.cli.calc_burst_count
+
+        def one_burst_more(kind, tile, conv, arch, mode="aligned"):
+            extra = mode == "aligned" and conv.name == "entry"
+            return real(kind, tile, conv, arch, mode) + extra
+
+        monkeypatch.setattr(tsoplan.cli, "calc_burst_count", one_burst_more)
+        rc, lines = self.toy_sample_verdict(tmp_path, capsys)
+        assert rc == 3
+        assert [line for line in lines if line.startswith("FAIL")] == [
+            "FAIL entry: closed-form bursts [15, 1, 8], run-enumerated [16, 2, 9]"
+        ]
+        assert lines[-1] == "1 of 3 layers failed verification"
+
+
+LONG = "x" * 5000
+
+
+def _layer_beyond_int64_pricing(name):
+    big = 2**31 - 1
+    return dataclasses.asdict(ConvLayerSpec(
+        name=name, n=big, h=big, l=big, m=big, k=1, s=1, p=0, r=big, c=big, elem_bytes=2
+    ))
+
+
+class TestLongInputValues:
+    """Every message that quotes a value read from a file quotes at most 60
+    characters of it, so each error stays one short line."""
+
+    @pytest.mark.parametrize(
+        "command,edit,rc",
+        [
+            ("plan", lambda d: d["model"]["layers"][0].pop("n"), 1),
+            ("plan", lambda d: d["model"]["layers"][0].update({LONG: 1}), 1),
+            ("plan", lambda d: d["model"]["layers"][0].update(n=-(10**3999)), 1),
+            ("simulate", lambda d: d["plan"]["entries"][0].update(tle_partition="@@"), 1),
+            ("simulate", lambda d: d["plan"]["entries"][0].update(schedule=LONG), 1),
+            ("plan", lambda d: d["model"]["layers"][0].update(name=LONG, r=1), 1),
+            (
+                "plan",
+                lambda d: d["model"].update(
+                    layers=[dict(layer, name=LONG) for layer in d["model"]["layers"]]
+                ),
+                1,
+            ),
+            ("simulate", lambda d: d["plan"].update(mode=LONG), 1),
+            ("simulate", lambda d: d["plan"].update(model=LONG), 1),
+            ("plan", lambda d: d["model"].update(layers=[_layer_beyond_int64_pricing(LONG)]), 1),
+            (
+                "plan --fixed-tle ksofm",
+                lambda d: (
+                    d["arch"].update(n_tle=3),
+                    d["model"].update(layers=[dict(d["model"]["layers"][0], name=LONG)]),
+                ),
+                2,
+            ),
+        ],
+        ids=[
+            "missing-key", "unknown-key", "int-below-minimum", "enum-nested-list",
+            "enum-string", "layer-geometry", "duplicate-layer", "plan-mode", "model-name",
+            "int64-pricing-bound", "no-feasible-plan",
+        ],
+    )
+    def test_error_is_one_short_line(self, tmp_path, capsys, command, edit, rc):
+        model_path, arch_path = SAMPLES / "toy_model.json", SAMPLES / "nmp_arch.json"
+        plan_path = tmp_path / "plan.json"
+        sample = ["--model", str(model_path), "--arch", str(arch_path)]
+        assert main(["plan", *sample, "--out", str(plan_path)]) == 0
+        paths = {"model": model_path, "arch": arch_path, "plan": plan_path}
+        docs = {name: json.loads(path.read_text()) for name, path in paths.items()}
+        edit(docs)
+        argv = command.split()
+        for name, doc in docs.items():
+            path = tmp_path / f"edited-{name}.json"
+            # A list 400 deep stands in for "@@": deep enough to echo 800
+            # characters, shallow enough for json's recursion limit.
+            path.write_text(json.dumps(doc).replace('"@@"', "[" * 400 + "]" * 400))
+            if name != "plan" or argv[0] == "simulate":
+                argv += [f"--{name}", str(path)]
+        capsys.readouterr()
+        assert main(argv) == rc
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert len(err) < 300
+        assert "Traceback" not in err
+
 
 class TestCompareCommand:
     def test_csv_row_minimum_is_the_free_search(self, toy_files, tmp_path, capsys):

@@ -711,7 +711,7 @@ class TestInt64Bound:
         assert (inside.r, inside.c, outside.r) == (r, c, r + 1)
         arch = arch_for(mb=1024, n_tle=n_tle, n_tlt=2, sw_ns=1.0)
         model = data.draw(st.sampled_from(["burst", "noburst"]))
-        entry = plan_layer(inside, arch, model)  # _rebuild re-prices every pair's winner
+        entry = plan_layer(inside, arch, model)  # build_entry re-prices every pair's winner
         assert entry.cost.alphas.a_in >= 1
         with pytest.raises(ConfigError, match="^layer 'big': "):
             plan_layer(outside, arch, model)
