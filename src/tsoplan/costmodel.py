@@ -72,33 +72,22 @@ def compute_alphas(
     tile: TileConfig,
     n_tle: int,
 ) -> Alphas:
-    """Tile-move counts for a schedule.
+    """Tile-move counts for a schedule, counted the way the simulator walks it.
 
-    Input tiles are multicast to the TLTs of a cluster, so their count (and
-    the weight-tile count that tracks the same loop nest) scales with the
-    cluster count and the slice's tile grid.  Output tiles leave the device
-    once per tile of the whole output map, regardless of clustering.
+    IS is OS with one resident group of all m filters (every slice has
+    tle_w <= m); OS and WS walk groups of t_m.  Input tiles are multicast
+    within a cluster, so they move once per TLE, slice tile and group, and
+    weights with them, except that WS loads each group once.  Output tiles
+    leave once per tile and group of the whole map, whatever the clustering.
     """
+    group = conv.m if q is ScheduleKind.IS else tile.t_m
     cr = ceil_div(slice_.tle_r, tile.t_r)
-    cn = ceil_div(conv.n, tile.t_n)
-    gr = ceil_div(conv.r, tile.t_r)
     # Columns are never split across TLEs: slice and map share this count.
     cc = ceil_div(conv.c, tile.t_c)
-    if q is ScheduleKind.IS:
-        # All of a TLT's filters stay resident: no weight-group loop, and the
-        # output map is written once per spatial tile.
-        loads = n_tle * cr * cc * cn
-        return Alphas(a_in=loads, a_w=loads, a_out=gr * cc)
-    cm = ceil_div(slice_.tle_w, tile.t_m)
-    gm = ceil_div(conv.m, tile.t_m)
-    if q is ScheduleKind.OS:
-        loads = n_tle * cr * cc * cn * cm
-        return Alphas(a_in=loads, a_w=loads, a_out=gr * cc * gm)
-    return Alphas(
-        a_in=n_tle * cr * cc * cn * cm,
-        a_w=n_tle * cm,
-        a_out=gr * cc * gm,
-    )
+    cm = ceil_div(slice_.tle_w, group)
+    a_in = n_tle * cr * cc * ceil_div(conv.n, tile.t_n) * cm
+    a_w = n_tle * cm if q is ScheduleKind.WS else a_in
+    return Alphas(a_in, a_w, ceil_div(conv.r, tile.t_r) * cc * ceil_div(conv.m, group))
 
 
 def tile_mac_time(tile: TileConfig, conv: ConvLayerSpec, arch: ArchConfig) -> float:
@@ -142,15 +131,16 @@ def box_runs(
     e0, e1, e2 = hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]
     if e0 <= 0 or e1 <= 0 or e2 <= 0:
         return []
-    runs: list[tuple[int, int]] = []
-    for i in range(e0):
-        for j in range(e1):
-            start = ((lo[0] + i) * d1 + (lo[1] + j)) * d2 + lo[2]
-            if runs and runs[-1][0] + runs[-1][1] == start:
-                runs[-1] = (runs[-1][0], runs[-1][1] + e2)
-            else:
-                runs.append((start, e2))
-    return [(s * elem_bytes, n * elem_bytes) for s, n in runs]
+    # Rows merge only when they span the last dimension, planes only when
+    # they also span the middle one.
+    planes = range(lo[0], hi[0])
+    if e2 < d2:
+        runs = [((i * d1 + j) * d2 + lo[2], e2) for i in planes for j in range(lo[1], hi[1])]
+    elif e1 < d1:
+        runs = [((i * d1 + lo[1]) * d2, e1 * d2) for i in planes]
+    else:
+        runs = [(lo[0] * d1 * d2, e0 * d1 * d2)]
+    return [(start * elem_bytes, n * elem_bytes) for start, n in runs]
 
 
 def tile_box(

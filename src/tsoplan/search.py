@@ -92,14 +92,20 @@ class PlanMap:
 
 
 class PlanError(Exception):
-    """No feasible strategy exists for one or more layers."""
+    """No feasible strategy exists for one or more layers.  The message groups
+    them by reasons, in first-seen order, naming at most three per group."""
 
     def __init__(self, failures: list[tuple[str, list[str]]]):
         self.failures = failures
-        lines = []
+        groups: dict[str, list[str]] = {}
         for layer, attempts in failures:
             tried = "; ".join(attempts) if attempts else "nothing applicable"
-            lines.append(f"layer {clip_repr(layer)}: {tried}")
+            groups.setdefault(tried, []).append(clip_repr(layer))
+        lines = []
+        for tried, names in groups.items():
+            more = f" and {len(names) - 3} more" if len(names) > 3 else ""
+            noun = "layers" if len(names) > 1 else "layer"
+            lines.append(f"{noun} {', '.join(names[:3])}{more}: {tried}")
         super().__init__("no feasible plan: " + " | ".join(lines))
 
 

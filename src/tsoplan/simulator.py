@@ -6,13 +6,13 @@ multiplicities in :mod:`tsoplan.costmodel`.  The replay follows the same
 conventions the analytic model prices:
 
 * Every TLE walks the tile grid of one uniform layer slice (tle_r output
-  rows of tle_w filters), including grid slots whose slice overhangs the
-  actual map; overhanging slots still count as transfers but touch an empty
-  or clipped byte range.  Input tiles are multicast within a cluster, so
-  one load event serves all of its TLTs.
-* IS replays as OS with a single filter group: all of a TLT's filters stay
-  resident, so its weight loop runs once and each store covers every output
-  channel of its spatial window.  OS and WS walk filter groups of t_m.
+  rows of tle_w filters) from the origin :func:`tle_origins` gives it,
+  including grid slots whose slice overhangs the actual map; those still
+  count as transfers but touch an empty or clipped byte range.  Input
+  tiles are multicast within a cluster, so one load serves all its TLTs.
+* IS replays as OS with a single filter group, the rule compute_alphas
+  prices too: each store covers every output channel of its spatial
+  window.  OS and WS walk filter groups of t_m.
 * Output tiles are stored once per tile of the whole output map, on the
   map's own tile grid, so store events partition the output map exactly.
   A store belongs to the last TLE whose slice origin lies at or before the
@@ -32,7 +32,7 @@ from itertools import product
 
 from .configs import ArchConfig, ConvLayerSpec
 from .costmodel import TileKind, box_runs, tile_box
-from .slicing import ScheduleKind, TileConfig, TlePartitionKind, TleSlice
+from .slicing import ScheduleKind, TileConfig, TleSlice, tle_origins
 from .util import ceil_div
 
 
@@ -64,23 +64,6 @@ class TransferTrace:
     total_bursts: dict[TileKind, BurstTotals] | None = None
 
 
-def _slice_origin(slice_: TleSlice, tle: int, n_tle: int) -> tuple[int, int]:
-    """Output-row and filter origin of one TLE's slice.
-
-    KS_OFM lays the TLEs out as two row groups of n_tle/2 filter groups;
-    with four TLEs that is the classic two-by-two split.  Slices that start
-    or end past the map overhang it; that work is counted but touches
-    nothing.  tle_slicing cuts KS_OFM rows into n_tle/2 bands, so from six
-    TLEs on, the two row groups leave the rows from 2*tle_r on unloaded.
-    """
-    if slice_.kind is TlePartitionKind.KS:
-        return 0, tle * slice_.tle_w
-    if slice_.kind is TlePartitionKind.OFM:
-        return tle * slice_.tle_r, 0
-    half = n_tle // 2
-    return (tle // half) * slice_.tle_r, (tle % half) * slice_.tle_w
-
-
 def _event(kind: TileKind, tle: int, dims, origin, extent, elem_bytes: int) -> TransferEvent:
     runs = tuple(box_runs(dims, origin, extent, elem_bytes))
     return TransferEvent(kind, tle, origin, extent, dims, elem_bytes, runs)
@@ -97,6 +80,8 @@ def simulate_schedule(
 ) -> TransferTrace:
     """Replay one layer's schedule and count every transfer.
 
+    Slices start where :func:`tle_origins` places them, and IS walks one
+    group of all m filters, as :func:`compute_alphas` counts it.
     With keep_events=False only the totals are produced, which keeps large
     layers affordable.  count_bursts additionally runs the exhaustive burst
     enumeration over the retained events.
@@ -112,7 +97,7 @@ def simulate_schedule(
     cc = ceil_div(conv.c, t_c)
     cn = ceil_div(conv.n, t_n)
     cm = ceil_div(slice_.tle_w, group)
-    origins = [_slice_origin(slice_, tle, arch.n_tle) for tle in range(arch.n_tle)]
+    origins = tle_origins(slice_, arch.n_tle)
 
     events: list[TransferEvent] = []
     loads_in = loads_w = stores_out = 0

@@ -1,7 +1,9 @@
 """Workload slicing across TLEs and tile shaping within one TLT.
 
 A layer is first partitioned across the ``n_tle`` clusters, either by
-filters (KS), by output rows (OFM), or by both at once (KS_OFM).  Inside a
+filters (KS), by output rows (OFM), or by both at once (KS_OFM):
+:func:`tle_slicing` sizes each TLE's slice, and :func:`tle_origins` places
+it for the simulator's replay.  Inside a
 cluster every TLT then processes the layer slice tile by tile; a tile is
 described by its output extent (t_m filters, t_r rows, t_c columns) plus the
 input-channel depth t_n, and must fit the three per-TLT scratchpads.
@@ -85,6 +87,21 @@ def tle_slicing(kind: TlePartitionKind, conv: ConvLayerSpec, n_tle: int) -> TleS
         raise Infeasible(f"ksofm partitioning needs an even TLE count, got {n_tle}")
     half = n_tle // 2
     return TleSlice(kind, tle_r=ceil_div(conv.r, half), tle_w=ceil_div(conv.m, half))
+
+
+def tle_origins(slice_: TleSlice, n_tle: int) -> list[tuple[int, int]]:
+    """Output-row and filter origin of every TLE's slice, in TLE order.
+
+    The TLEs lie row-major on a grid of row groups by filter groups: KS is
+    1 by n_tle, OFM n_tle by 1, KS_OFM 2 by n_tle/2.  Slices past the map's
+    end are counted but touch nothing.  The two KS_OFM rules disagree:
+    tle_slicing sizes n_tle/2 row bands but this places 2 row groups, so on
+    six TLEs rows from 2*tle_r on are never placed, and on two TLEs TLE 1
+    starts at row r.
+    """
+    row_groups = {TlePartitionKind.KS: 1, TlePartitionKind.OFM: n_tle}.get(slice_.kind, 2)
+    r, w = slice_.tle_r, slice_.tle_w
+    return [(i * r, j * w) for i in range(row_groups) for j in range(n_tle // row_groups)]
 
 
 def ifm_tile_dims(t_r: int, t_c: int, k: int, s: int) -> tuple[int, int]:

@@ -483,9 +483,15 @@ def _layer_beyond_int64_pricing(name):
     ))
 
 
+def _inception_on_three_tles(docs):
+    docs["arch"].update(n_tle=3)
+    docs["model"] = json.loads((SAMPLES / "inceptionv3.json").read_text())
+
+
 class TestLongInputValues:
     """Every message that quotes a value read from a file quotes at most 60
-    characters of it, so each error stays one short line."""
+    characters of it, and a whole-model failure names at most three layers
+    per reason, so each error stays one short line."""
 
     @pytest.mark.parametrize(
         "command,edit,rc",
@@ -514,11 +520,15 @@ class TestLongInputValues:
                 ),
                 2,
             ),
+            # On three TLEs all 94 InceptionV3 layers fail ksofm, and 26 fail ws.
+            ("plan --fixed-tle ksofm", _inception_on_three_tles, 2),
+            ("plan --fixed-tlt ws", _inception_on_three_tles, 2),
         ],
         ids=[
             "missing-key", "unknown-key", "int-below-minimum", "enum-nested-list",
             "enum-string", "layer-geometry", "duplicate-layer", "plan-mode", "model-name",
-            "int64-pricing-bound", "no-feasible-plan",
+            "int64-pricing-bound", "no-feasible-plan", "no-feasible-plan-ksofm-model",
+            "no-feasible-plan-ws-model",
         ],
     )
     def test_error_is_one_short_line(self, tmp_path, capsys, command, edit, rc):

@@ -245,6 +245,15 @@ class TestPlanErrors:
         with pytest.raises(PlanError):
             plan_layer(conv, arch, "burst", fixed_tlt=ScheduleKind.WS)
 
+    def test_message_groups_layers_by_reason(self):
+        failures = [(name, ["ks: a"]) for name in "abcde"] + [("f", ["ks: b"]), ("g", [])]
+        err = PlanError(failures)
+        assert err.failures == failures
+        assert str(err) == (
+            "no feasible plan: layers 'a', 'b', 'c' and 2 more: ks: a"
+            " | layer 'f': ks: b | layer 'g': nothing applicable"
+        )
+
     def test_whole_model_failure_lists_every_layer(self):
         model = ModelSpec(name="m", layers=(conv_for(name="a"), conv_for(name="b")))
         arch = arch_for(n_tle=3)

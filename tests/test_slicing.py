@@ -11,6 +11,7 @@ from tsoplan.slicing import (
     gen_tile,
     get_filters,
     ifm_tile_dims,
+    tle_origins,
     tle_slicing,
 )
 from tsoplan.util import ceil_div
@@ -58,6 +59,60 @@ class TestTleSlicing:
         for kind in (TlePartitionKind.KS, TlePartitionKind.OFM):
             sl = tle_slicing(kind, conv, 1)
             assert (sl.tle_r, sl.tle_w) == (conv.r, conv.m)
+
+
+class TestTleOrigins:
+    """Where each TLE's slice starts, pinned on a 12-row, 12-filter layer.
+
+    The KS_OFM pins record today's layout, in which tle_slicing cuts n_tle/2
+    row bands but tle_origins places 2 row groups; repairing that layout
+    changes the two-TLE and six-TLE cases.
+    """
+
+    conv = conv_for(h=14, m=12)  # r = 12
+
+    def origins(self, kind, n_tle):
+        return tle_origins(tle_slicing(kind, self.conv, n_tle), n_tle)
+
+    @pytest.mark.parametrize(
+        "n_tle,expected",
+        [
+            (1, [(0, 0)]),
+            (2, [(0, 0), (0, 6)]),
+            (4, [(0, 0), (0, 3), (0, 6), (0, 9)]),
+            (6, [(0, 0), (0, 2), (0, 4), (0, 6), (0, 8), (0, 10)]),
+        ],
+    )
+    def test_ks_places_filter_groups(self, n_tle, expected):
+        assert self.origins(TlePartitionKind.KS, n_tle) == expected
+
+    @pytest.mark.parametrize(
+        "n_tle,expected",
+        [
+            (1, [(0, 0)]),
+            (2, [(0, 0), (6, 0)]),
+            (4, [(0, 0), (3, 0), (6, 0), (9, 0)]),
+            (6, [(0, 0), (2, 0), (4, 0), (6, 0), (8, 0), (10, 0)]),
+        ],
+    )
+    def test_ofm_places_row_bands(self, n_tle, expected):
+        assert self.origins(TlePartitionKind.OFM, n_tle) == expected
+
+    def test_ksofm_on_one_tle_has_no_slice_to_place(self):
+        with pytest.raises(Infeasible, match="even"):
+            self.origins(TlePartitionKind.KS_OFM, 1)
+
+    def test_ksofm_on_two_tles_starts_tle_1_past_the_map(self):
+        # Each TLE's slice is the whole layer, yet TLE 1 starts at row r.
+        assert self.origins(TlePartitionKind.KS_OFM, 2) == [(0, 0), (12, 0)]
+
+    def test_ksofm_on_four_tles_is_two_by_two(self):
+        assert self.origins(TlePartitionKind.KS_OFM, 4) == [(0, 0), (0, 6), (6, 0), (6, 6)]
+
+    def test_ksofm_on_six_tles_never_places_rows_from_2_tle_r_on(self):
+        # tle_r = 4: two row groups cover rows 0..7, rows 8..11 have no TLE.
+        origins = self.origins(TlePartitionKind.KS_OFM, 6)
+        assert origins == [(0, 0), (0, 4), (0, 8), (4, 0), (4, 4), (4, 8)]
 
 
 class TestIfmTileDims:
