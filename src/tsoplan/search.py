@@ -1,23 +1,30 @@
 """Exhaustive search for the fastest partition, schedule, and tile shape.
 
 For every layer the planner tries each TLE partition and each schedule, and
-inside every such pair prices every tile shape that fits the scratchpads
-(t_r up to the slice's rows, t_c up to the output width, t_n up to the
-channel depth; t_m follows from the schedule).  The scratchpad inequalities
-bound which shapes are priced, so a search's time and memory follow the
-scratchpad sizes rather than the layer's; no shape that fits is skipped.
-There is no tie-breaking heuristic: the first candidate in canonical
-(t_r, t_c, t_n) order wins, and later candidates replace it only when
-strictly cheaper.  Exact ties between partition/schedule pairs are flagged
-in the search statistics.
+inside every such pair finds the cheapest tile shape that fits the
+scratchpads (t_r up to the slice's rows, t_c up to the output width, t_n up
+to the channel depth; t_m follows from the schedule).  The scratchpad
+inequalities cap each side before anything is priced, so no array is sized
+by the layer.  There is no tie-breaking heuristic: the first candidate in
+canonical (t_r, t_c, t_n) order wins, and later candidates replace it only
+when strictly cheaper.  Exact ties between partition/schedule pairs are
+flagged in the search statistics.
 
-Tile grids are priced by the same filter_count, tile_footprint and
-calc_time that price a single tile, called with numpy arrays of candidate
-sides in place of ints, so the winner is what a plain-loop sweep over the
-whole tile box would select.  Each pair's winner is then rebuilt by
-``build_entry``, the scalar path ``simulate`` also audits plans with; a t_m,
-total or burst count (re-counted over the tile's byte runs) that disagrees
-with the grid is an internal error.
+A capped box of at most ``_SMALL_BOX_CELLS`` cells is priced whole, where
+finding classes would cost more than it saves.  A larger one is priced one
+tile per class: sides of one axis are interchangeable when they give the
+same loop trip counts, window-coverage flag and (for t_n) filter group, and
+within such a class the cost never falls and the fit never improves as the
+side grows.  The first side of each class therefore stands for the class,
+and the first strict minimum over these sides is the whole box's, bit for
+bit.
+Tiles are priced by the same filter_count, tile_footprint and calc_time
+that price a single tile, called with numpy arrays of candidate sides in
+place of ints, so the winner is what a plain-loop sweep over the whole tile
+box would select.  Each pair's winner is then rebuilt by ``build_entry``,
+the scalar path ``simulate`` also audits plans with; a t_m, total or burst
+count (re-counted over the tile's byte runs) that disagrees with the grid
+is an internal error.
 
 The pairs' winners form a table, one per distinct layer geometry (the layer
 without its name) and time model.  ``tso`` and ``plan_layer`` fill only the
@@ -29,6 +36,7 @@ the worker count.
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -49,16 +57,25 @@ from .slicing import (
     tile_footprint,
     tle_slicing,
 )
-from .util import minimum, select
+from .util import ceil_div, minimum, select
 
 PARTITION_ORDER = (TlePartitionKind.KS, TlePartitionKind.KS_OFM, TlePartitionKind.OFM)
 SCHEDULE_ORDER = (ScheduleKind.IS, ScheduleKind.OS, ScheduleKind.WS)
 
 # Cap on grid cells priced per vectorized chunk, to bound temporaries.  A
-# grid whose scratchpad-capped box fits one chunk is priced as that box:
-# skipping its infeasible cells would save less than the staircase's
-# bookkeeping and extra chunks cost.
+# box of sides that fits one chunk is priced as that box: skipping its
+# infeasible cells would save less than the staircase's bookkeeping and
+# extra chunks cost.
 _CHUNK_CELLS = 1 << 16
+
+# Largest scratchpad-capped box priced whole rather than one tile per class:
+# finding the classes and counting the feasible cells costs about as much
+# as pricing a few thousand cells.  Median of 3 one-thread
+# compare_strategies runs on a shared 2-core Xeon (Python 3.11, numpy 2.4)
+# at cutoffs of 0 / 512 / 4,096 / 65,536 cells: InceptionV3 0.77 / 0.77 /
+# 0.75 / 1.92 s, the 400 distinct bench convs 5.79 / 5.79 / 4.99 / 8.03 s,
+# the 64 referee bench convs 0.82 / 0.51 / 0.53 / 0.53 s.
+_SMALL_BOX_CELLS = 1 << 12
 
 # Bound on a layer's move product n_tle*m*n*r*c*k*k and window product
 # n*(h+2p)*(l+2p).  Every integer the grid forms in int64 (move counts and
@@ -132,23 +149,33 @@ def _grid_search(
     model: TimeModel,
     n_tlt: int,
 ) -> _GridResult:
-    """Price every tile candidate that can fit, for one partition/schedule pair.
+    """The first strict minimum in (t_r, t_c, t_n) order over every tile
+    that fits, for one partition/schedule pair, pricing one tile per class.
 
-    The scratchpad inequalities gen_tile checks bound the search before any
-    cell is priced.  A 1x1 tile with one filter caps each axis (mb0 caps t_n,
-    t_r and t_c through the input window, mb2 caps t_r and t_c), so no array
-    grows with the layer.  A capped box of at most ``_CHUNK_CELLS`` cells is
-    priced as one broadcast.  A larger one is walked as a staircase: t_m
-    depends on t_n alone, and the mb0 and mb2 bytes grow with t_c, so every
-    (t_r, t_n) row that fits at t_c = 1 fits a t_c prefix 1..c_max.  Rows
-    are priced in bands of similar c_max, each band a (rows, 1) x (1, K)
-    broadcast in chunks of at most ``_CHUNK_CELLS`` cells.
+    The scratchpad inequalities gen_tile checks bound the box before any
+    cell is priced: a 1x1 tile with one filter caps each axis (mb0 caps t_n,
+    t_r and t_c through the input window, mb2 caps t_r and t_c), so no side
+    passes what the scratchpads allow.  A capped box of at most
+    ``_SMALL_BOX_CELLS`` cells is priced whole.  In a larger one, sides of
+    one axis share a class when everything the cost reads of them agrees:
+    for t_r, ceil(tle_r/t_r), ceil(r/t_r) and whether the input window
+    covers all h rows; for t_c, ceil(c/t_c) and whether it covers all l
+    columns; for t_n, ceil(n/t_n) and filter_count's t_m (t_n >= n is where
+    ceil(n/t_n) reaches 1).  Within a class the alphas, tile counts and
+    software term are constant, while bytes, aligned bursts and MAC cycles
+    never decrease with the side, so the class's first side costs no more
+    than any other, fits whenever any other does and comes first.  Only the
+    first sides are priced, and the first strict minimum over them is the
+    whole box's, bit for bit.
 
-    Every priced cell goes through filter_count, tile_footprint and
-    calc_time exactly as a single tile does, and cells without a filter
-    group or overflowing a scratchpad are masked out, so the bounds need
-    only over-approximate.  The first strict minimum in (t_r, t_c, t_n)
-    order wins.
+    The sides priced form a box; one of at most ``_CHUNK_CELLS`` cells is
+    priced as one broadcast.  A larger one is walked as a staircase
+    (``_staircase``) of the cells that fit.  Every priced cell goes through
+    filter_count, tile_footprint and calc_time exactly as a single tile does,
+    and cells without a filter group or overflowing a scratchpad are masked
+    out, so the caps need only over-approximate.  The feasible count is of
+    the whole box: from the masks when it is priced whole, else from the
+    scratchpad inequalities (``_count_feasible``).
     """
     n_candidates = slice_.tle_r * conv.c * conv.n
     e, k, s = conv.elem_bytes, conv.k, conv.s
@@ -160,20 +187,24 @@ def _grid_search(
     c_hi = _side_cap(arch.mb0_bytes // (e * h_1), k, s, l_pad, min(conv.c, out_cap))
     if min(n_hi, r_hi, c_hi) < 1:
         return _GridResult(None, np.inf, 0, n_candidates)
-    t_n = np.arange(1, n_hi + 1, dtype=np.int64)
+
+    by_class = r_hi * c_hi * n_hi > _SMALL_BOX_CELLS
+    if by_class:
+        t_r, t_c, t_n = _class_sides(conv, arch, slice_, q, n_tlt, (r_hi, c_hi, n_hi))
+    else:
+        t_r, t_c, t_n = (np.arange(1, hi + 1, dtype=np.int64) for hi in (r_hi, c_hi, n_hi))
     t_m = np.broadcast_to(filter_count(t_n, q, slice_.tle_w, n_tlt, conv, arch), t_n.shape)
     if not t_m.any():
         return _GridResult(None, np.inf, 0, n_candidates)
 
-    if r_hi * c_hi * n_hi <= _CHUNK_CELLS:
-        t_r = np.arange(1, r_hi + 1, dtype=np.int64).reshape(-1, 1, 1)
-        t_c = np.arange(1, c_hi + 1, dtype=np.int64).reshape(1, -1, 1)
-        chunks = [(t_m.reshape(1, 1, -1), t_n.reshape(1, 1, -1), t_r, t_c)]
+    if t_r.size * t_c.size * t_n.size <= _CHUNK_CELLS:
+        box = (t_r.reshape(-1, 1, 1), t_c.reshape(1, -1, 1))
+        chunks = [(t_m.reshape(1, 1, -1), t_n.reshape(1, 1, -1), *box)]
     else:
-        chunks = _staircase(t_m, t_n, r_hi, c_hi, conv, arch)
+        chunks = _staircase(t_m, t_n, t_r, t_c, conv, arch)
 
     best_val = np.inf
-    best_key: tuple[int, int, int] | None = None
+    best_key: tuple[int, int, int, int] | None = None
     n_feasible = 0
     for m_, n_, r_, c_ in chunks:
         # Cells with no filter group are masked out; pricing them with one
@@ -194,25 +225,125 @@ def _grid_search(
             continue
         if t_total.ndim == 3:
             # A box in C order is in (t_r, t_c, t_n) order: argmin is first.
-            key = tuple(1 + int(i) for i in np.unravel_index(flat, t_total.shape))
+            i, j, l = np.unravel_index(flat, t_total.shape)
+            key = (int(r_.flat[i]), int(c_.flat[j]), int(n_.flat[l]), int(m_.flat[l]))
         else:
             # Band rows are not in (t_r, t_n) order: sort the band's minima.
             rows, cols = np.nonzero(t_total == val)
-            keys = (r_[rows, 0], c_[0, cols], n_[rows, 0])
-            i = np.lexsort(keys[::-1])[0]
-            key = (int(keys[0][i]), int(keys[1][i]), int(keys[2][i]))
+            keys = (r_[rows, 0], c_[0, cols], n_[rows, 0], m_[rows, 0])
+            i = np.lexsort(keys[2::-1])[0]
+            key = tuple(int(side[i]) for side in keys)
         if val < best_val or key < best_key:
             best_val, best_key = val, key
-    if best_key is None:
-        return _GridResult(None, np.inf, n_feasible, n_candidates)
-    t_r_, t_c_, t_n_ = best_key
-    return _GridResult((t_r_, t_c_, t_n_, int(t_m[t_n_ - 1])), best_val, n_feasible, n_candidates)
+    if by_class:
+        # The masks saw only the first side of each class.
+        n_feasible = _count_feasible(t_m, t_n, r_hi, c_hi, n_hi, q, conv, arch)
+    return _GridResult(best_key, best_val, n_feasible, n_candidates)
 
 
-def _staircase(t_m, t_n, r_hi: int, c_hi: int, conv: ConvLayerSpec, arch: ArchConfig):
-    """(t_m, t_n, t_r, t_c) chunks covering every tile that fits: the
-    (t_r, t_n) rows that fit at t_c = 1, each with its t_c prefix, in bands
-    of similar prefix length and at most ``_CHUNK_CELLS`` cells."""
+def _class_sides(
+    conv: ConvLayerSpec, arch: ArchConfig, slice_: TleSlice, q: ScheduleKind, n_tlt: int,
+    caps: tuple[int, int, int],
+):
+    """The first side of every class on each axis (see ``_grid_search``),
+    up to the (t_r, t_c, t_n) caps, as sorted arrays."""
+    r_hi, c_hi, n_hi = caps
+    k, s = conv.k, conv.s
+    # While tle_slicing gives tle_r = ceil(r/N), ceil(tle_r/t_r) follows
+    # from ceil(r/t_r); its starts are kept so the classes follow what the
+    # cost reads, not how slices are cut.
+    t_r = (
+        _quotient_starts(slice_.tle_r, r_hi),
+        _quotient_starts(conv.r, r_hi),
+        _covering(conv.h, r_hi, k, s),
+    )
+    t_c = (_quotient_starts(conv.c, c_hi), _covering(conv.l, c_hi, k, s))
+
+    def groups(t_n):
+        return filter_count(t_n, q, slice_.tle_w, n_tlt, conv, arch)
+
+    t_n = (_quotient_starts(conv.n, n_hi), _steps(groups, n_hi))
+    return tuple(np.unique(np.concatenate(starts)) for starts in (t_r, t_c, t_n))
+
+
+def _quotient_starts(num: int, hi: int):
+    """The sides t in 1..hi where ceil(num/t) takes a new value: every t up
+    to sqrt(num), then ceil(num/q) for each smaller quotient q, which is the
+    first side of q's divisor block.  O(sqrt(num)) entries, unsorted."""
+    root = math.isqrt(num)
+    if hi <= root:
+        return np.arange(1, hi + 1, dtype=np.int64)
+    starts = -(-num // np.arange(1, num // root + 1, dtype=np.int64))
+    return np.concatenate((np.arange(1, root + 1, dtype=np.int64), starts[starts <= hi]))
+
+
+def _covering(extent: int, hi: int, k: int, s: int):
+    """The first side t <= hi whose input window (t - 1)*s + k spans
+    ``extent``, if any."""
+    t = max(1, ceil_div(extent - k, s) + 1)
+    return np.array([t] if t <= hi else [], dtype=np.int64)
+
+
+def _steps(fn, hi: int, ways: int = 32):
+    """The sides t in 2..hi where fn(t) != fn(t - 1), for a monotone fn of
+    an array of sides: fn is evaluated at the ends of ``ways`` parts of every
+    range whose ends differ, until each such part is one step long."""
+    lo, up = np.array([1], dtype=np.int64), np.array([hi], dtype=np.int64)
+    found = []
+    while lo.size:
+        cuts = lo[:, None] + (up - lo)[:, None] * np.arange(ways + 1) // ways
+        vals = np.broadcast_to(fn(cuts), cuts.shape)
+        differ = vals[:, 1:] != vals[:, :-1]
+        lo, up = cuts[:, :-1][differ], cuts[:, 1:][differ]
+        step = up - lo == 1
+        found.append(up[step])
+        lo, up = lo[~step], up[~step]
+    return np.concatenate(found)
+
+
+def _ranks(counts):
+    """0..count-1 for each count in turn, concatenated."""
+    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+
+
+def _count_feasible(
+    t_m, t_n, r_hi: int, c_hi: int, n_hi: int, q: ScheduleKind, conv: ConvLayerSpec,
+    arch: ArchConfig,
+) -> int:
+    """Cells of the capped box that fit the scratchpads, counted without
+    pricing; t_n holds every depth where t_m changes, with its t_m.
+
+    A cell's input bytes are t_n times its depth-1 tile's and its output
+    bytes t_m times its one-filter tile's, and t_m never grows with t_n.  So
+    at one (t_r, t_c) the depths that fit are a range: from the first whose
+    t_m fits mb2 up to the last that fits mb0 and has a filter group.  mb1
+    holds every group filter_count gives."""
+    e, k, s = conv.elem_bytes, conv.k, conv.s
+    h_pad, l_pad = conv.h + 2 * conv.p, conv.l + 2 * conv.p
+    live = t_m >= 1
+    n_live = n_hi if live.all() else int(t_n[np.argmin(live)]) - 1
+    # Only the (t_r, t_c) that fit at depth 1 with the smallest group can
+    # hold a feasible cell.
+    t_r = np.arange(1, r_hi + 1, dtype=np.int64)
+    t_h = np.minimum((t_r - 1) * s + k, h_pad)
+    c_max = np.minimum(
+        arch.mb2_bytes // (e * int(t_m[live][-1]) * t_r),
+        _side_cap(arch.mb0_bytes // (e * t_h), k, s, l_pad, c_hi),
+    )
+    c_max = np.maximum(c_max, 0)
+    unit = tile_footprint(1, 1, np.repeat(t_r, c_max), _ranks(c_max) + 1, q, conv)
+    top = np.minimum(n_live, arch.mb0_bytes // unit.in_bytes)
+    first = np.searchsorted(-t_m, -(arch.mb2_bytes // unit.out_bytes))
+    bottom = np.append(t_n, n_hi + 1)[first]
+    return int(np.maximum(top - bottom + 1, 0).sum())
+
+
+def _staircase(t_m, t_n, t_r, t_c, conv: ConvLayerSpec, arch: ArchConfig):
+    """(t_m, t_n, t_r, t_c) chunks covering every cell of the sorted side
+    arrays that fits.  t_m depends on t_n alone and the mb0 and mb2 bytes
+    grow with t_c, so every (t_r, t_n) row that fits at t_c = 1 fits a prefix
+    of t_c.  Rows are priced with their prefixes in bands of similar prefix
+    length, each of at most ``_CHUNK_CELLS`` cells."""
     e, k, s = conv.elem_bytes, conv.k, conv.s
     h_pad, l_pad = conv.h + 2 * conv.p, conv.l + 2 * conv.p
     # Per depth, the rows t_r that fit with t_c = 1; none without a filter.
@@ -220,33 +351,34 @@ def _staircase(t_m, t_n, r_hi: int, c_hi: int, conv: ConvLayerSpec, arch: ArchCo
     t_m = np.maximum(t_m, 1)
     r_max = np.minimum(
         arch.mb2_bytes // (e * t_m),
-        _side_cap(arch.mb0_bytes // (e * min(k, l_pad) * t_n), k, s, h_pad, r_hi),
+        _side_cap(arch.mb0_bytes // (e * min(k, l_pad) * t_n), k, s, h_pad, int(t_r[-1])),
     )
-    r_max = np.maximum(np.where(live, r_max, 0), 0)
-    n_rows = int(r_max.sum())
-    row_n = np.repeat(t_n, r_max)
-    row_m = np.repeat(t_m, r_max)
-    row_r = np.arange(1, n_rows + 1, dtype=np.int64) - np.repeat(np.cumsum(r_max) - r_max, r_max)
+    r_cnt = np.where(live, np.searchsorted(t_r, r_max, side="right"), 0)
+    row_n = np.repeat(t_n, r_cnt)
+    row_m = np.repeat(t_m, r_cnt)
+    row_r = t_r[_ranks(r_cnt)]
     row_h = np.minimum((row_r - 1) * s + k, h_pad)
     c_max = np.minimum(
         arch.mb2_bytes // (e * row_m * row_r),
-        _side_cap(arch.mb0_bytes // (e * row_n * row_h), k, s, l_pad, c_hi),
+        _side_cap(arch.mb0_bytes // (e * row_n * row_h), k, s, l_pad, int(t_c[-1])),
     )
-    # Every row fits t_c = 1, so c_max >= 1.  A band is priced at the
-    # widest prefix it holds, so it takes only the rows whose prefix is over
-    # half that width: at most half of its cells are infeasible.
-    order = np.argsort(c_max)
-    c_sorted = c_max[order]
-    stop = n_rows
+    # Every row fits t_c = 1, so its prefix holds at least one side.  A band
+    # is priced at the widest prefix it holds, so it takes only the rows
+    # whose prefix is over half that width: at most half of its cells are
+    # infeasible.
+    c_cnt = np.searchsorted(t_c, c_max, side="right")
+    order = np.argsort(c_cnt)
+    c_sorted = c_cnt[order]
+    stop = row_n.size
     while stop:
         width = int(c_sorted[stop - 1])
         start = int(np.searchsorted(c_sorted, width // 2, side="right"))
         for c0 in range(0, width, _CHUNK_CELLS):
-            t_c = np.arange(c0 + 1, min(c0 + _CHUNK_CELLS, width) + 1, dtype=np.int64)
-            step = max(1, _CHUNK_CELLS // t_c.size)
+            cols = t_c[c0 : min(c0 + _CHUNK_CELLS, width)]
+            step = max(1, _CHUNK_CELLS // cols.size)
             for r0 in range(start, stop, step):
                 rows = order[r0 : min(r0 + step, stop)]
-                yield row_m[rows, None], row_n[rows, None], row_r[rows, None], t_c[None, :]
+                yield row_m[rows, None], row_n[rows, None], row_r[rows, None], cols[None, :]
         stop = start
 
 

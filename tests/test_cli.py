@@ -196,6 +196,32 @@ class TestBoundedSearch:
         assert entry["layer"] == "deep"
         assert 1 <= entry["t_n"] <= nmp.mb0_bytes // (2 * 3 * 3)
 
+    def test_deepest_layer_on_largest_scratchpads_plans_under_2_gib(
+        self, write_configs, nmp, tmp_path
+    ):
+        # A depth axis capped by a 2 GiB mb0 still holds 119 M sides, so the
+        # search must not build one array entry per side.
+        conv = ConvLayerSpec(
+            name="deep", n=2**31 - 1, h=6, l=6, m=8, k=3, s=1, p=1, r=6, c=6, elem_bytes=2
+        )
+        big = 2**31 - 1
+        arch = dataclasses.replace(nmp, mb0_bytes=big, mb1_bytes=big, mb2_bytes=big)
+        model_path, arch_path = write_configs(ModelSpec(name="deep", layers=(conv,)), arch)
+        out = tmp_path / "plan.json"
+        src = str(Path(tsoplan.__file__).parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-c", self.CHILD, "plan", "--model", model_path,
+             "--arch", arch_path, "--out", str(out), "--threads", "1"],
+            capture_output=True, text=True, timeout=300, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "Traceback" not in proc.stderr
+        entry, = json.loads(out.read_text())["entries"]
+        assert entry["layer"] == "deep"
+        assert 1 <= entry["t_n"] <= big // (2 * 3 * 3)
+
     def test_layer_beyond_int64_pricing_exits_1(self, write_configs, nmp, capsys):
         # Every field at the cap: move counts would wrap in int64.
         big = 2**31 - 1

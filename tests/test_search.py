@@ -528,12 +528,15 @@ def plain_grid(conv, arch, slice_, q, model):
     return (best, best_total, len(totals), n_candidates), totals
 
 
-# The search as built, and with chunks so small that every grid of more
-# than 64 or 3 cells is walked as a staircase.
+# The search as built, with chunks so small that every grid of more than
+# 64 or 3 cells is walked as a staircase, and pricing one tile per class on
+# every grid, as one box or as a staircase of classes.
 SEARCH_PATHS = {
     "as_built": {},
     "staircase": {"_CHUNK_CELLS": 64},
     "small_chunks": {"_CHUNK_CELLS": 3},
+    "classes": {"_SMALL_BOX_CELLS": 0},
+    "class_staircase": {"_SMALL_BOX_CELLS": 0, "_CHUNK_CELLS": 3},
 }
 
 
@@ -682,6 +685,95 @@ class TestStaircaseEnumeration:
         n_priced = sum(int(np.prod(shape)) for shape in priced)
         assert sum(feasible) > 6_000_000
         assert n_priced <= 2.5 * sum(feasible)
+
+    def test_inception_prices_at_most_0_15x_the_feasible_cells(self, monkeypatch):
+        # One tile per class: about 0.12x the feasible cells here.
+        priced, feasible = [], []
+        real_calc, real_grid = tsoplan.search.calc_time, tsoplan.search._grid_search
+
+        def counted_calc(tile, *args):
+            sides = (tile.t_m, tile.t_n, tile.t_r, tile.t_c)
+            if any(np.ndim(side) for side in sides):
+                priced.append(int(np.prod(np.broadcast_shapes(*map(np.shape, sides)))))
+            return real_calc(tile, *args)
+
+        def counted_grid(*args):
+            res = real_grid(*args)
+            feasible.append(res.n_feasible)
+            return res
+
+        monkeypatch.setattr(tsoplan.search, "calc_time", counted_calc)
+        monkeypatch.setattr(tsoplan.search, "_grid_search", counted_grid)
+        tso(sample_model("inceptionv3"), nmp_profile(), workers=1)
+        assert sum(priced) <= 0.15 * sum(feasible)
+
+
+class TestClassLemma:
+    """No tile of the whole box costs less than the first tile of its class,
+    or fits where that tile does not: the two share t_m, move counts and
+    software time, and the first tile's bursts and MAC time are no larger."""
+
+    @staticmethod
+    def price(conv, arch, slice_, q, model, sides):
+        """The tile's t_m, and its cost or None if it does not fit."""
+        t_r, t_c, t_n = sides
+        t_m = filter_count(t_n, q, slice_.tle_w, arch.n_tlt, conv, arch)
+        try:
+            tile = gen_tile(t_m, t_n, t_r, t_c, q, conv, arch, slice_) if t_m else None
+        except Infeasible:
+            tile = None
+        return t_m, None if tile is None else calc_time(tile, q, conv, slice_, arch, model)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(
+            st.integers(1, 16), st.integers(1, 14), st.integers(1, 14), st.integers(1, 40),
+            st.sampled_from([1, 2, 3, 5]), st.integers(1, 3), st.integers(0, 2),
+            st.sampled_from([1, 2]),
+        ),
+        fabric=st.tuples(st.sampled_from([1, 2, 3, 4]), st.sampled_from([1, 2, 4])),
+        mbs=st.tuples(*[st.sampled_from([16, 48, 100, 256, 700, 2048])] * 3),
+        p=st.sampled_from(PARTITION_ORDER),
+        q=st.sampled_from(SCHEDULE_ORDER),
+        model=st.sampled_from(["burst", "noburst"]),
+        times=st.tuples(st.sampled_from([0.0, 14.0]), st.sampled_from([0.0, 100.0])),
+    )
+    # Always drawn: a padded map whose windows cover all rows and columns
+    # from side 8 on, inside the ceil(10/t) class 5..9.
+    @example(
+        dims=(4, 10, 10, 4, 3, 1, 1, 2), fabric=(1, 1), mbs=(2048, 2048, 2048),
+        p=TlePartitionKind.KS, q=ScheduleKind.OS, model="burst", times=(14.0, 0.0),
+    )
+    def test_no_tile_beats_its_class_first(self, dims, fabric, mbs, p, q, model, times):
+        n, h, l, m, k, s, pad, e = dims
+        if h + 2 * pad < k or l + 2 * pad < k:
+            return
+        conv = conv_for(n=n, h=h, l=l, m=m, k=k, s=s, p=pad, e=e)
+        arch = arch_with(*mbs, n_tle=fabric[0], n_tlt=fabric[1], cas_ns=times[0], sw_ns=times[1])
+        try:
+            slice_ = tle_slicing(p, conv, arch.n_tle)
+        except Infeasible:
+            return
+        grid = (slice_.tle_r, conv.c, conv.n)
+        firsts = tsoplan.search._class_sides(conv, arch, slice_, q, arch.n_tlt, grid)
+        priced = {}
+        for cell in np.ndindex(*grid):
+            cell = tuple(side + 1 for side in cell)
+            first = tuple(
+                int(sides[np.searchsorted(sides, side, side="right") - 1])
+                for sides, side in zip(firsts, cell)
+            )
+            for key in (cell, first):
+                if key not in priced:
+                    priced[key] = self.price(conv, arch, slice_, q, model, key)
+            (m_cell, cost), (m_first, first_cost) = priced[cell], priced[first]
+            assert m_cell == m_first, (cell, first)
+            if cost is None:
+                continue
+            assert first_cost is not None, (cell, first)
+            assert (first_cost.alphas, first_cost.t_sw) == (cost.alphas, cost.t_sw), (cell, first)
+            for field in ("bursts_in", "bursts_w", "bursts_out", "t_mac", "t_total"):
+                assert getattr(first_cost, field) <= getattr(cost, field), (field, cell, first)
 
 
 class TestInt64Bound:
