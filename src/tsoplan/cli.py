@@ -62,7 +62,7 @@ def _add_search_args(sub: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="N",
-        help="layer-level worker threads (default: CPU count)",
+        help="layer-level worker threads (default 1)",
     )
     sub.add_argument(
         "--fixed-tle",
@@ -89,7 +89,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cmp = subs.add_parser("compare", help="compare the search against fixed strategies")
     _add_io_args(p_cmp)
-    p_cmp.add_argument("--threads", type=int, default=None, metavar="N")
+    p_cmp.add_argument(
+        "--threads", type=int, default=None, metavar="N", help="worker threads (default 1)"
+    )
     p_cmp.add_argument("--out", default=None, metavar="PATH", help="write the CSV here")
 
     p_roof = subs.add_parser("roofline", help="per-layer roofline data for a searched plan")

@@ -18,6 +18,12 @@ within such a class the cost never falls and the fit never improves as the
 side grows.  The first side of each class therefore stands for the class,
 and the first strict minimum over these sides is the whole box's, bit for
 bit.
+A box of first sides larger than ``_CHUNK_CELLS`` is priced only where it
+fits: one walk of the (t_r, t_c) pairs that fit at depth 1 gives each pair
+its range of depths that fit, and the same walk over every side counts the
+box's feasible tiles.  The walk and the pricing run in chunks of at most
+``_CHUNK_CELLS`` pairs or cells, so no array grows with the pairs or cells
+that fit; the count's arrays of every t_r and every t_c grow with the sides.
 Tiles are priced by the same filter_count, tile_footprint and calc_time
 that price a single tile, called with numpy arrays of candidate sides in
 place of ints, so the winner is what a plain-loop sweep over the whole tile
@@ -30,14 +36,13 @@ The pairs' winners form a table, one per distinct layer geometry (the layer
 without its name) and time model.  ``tso`` and ``plan_layer`` fill only the
 cells their restriction allows; ``compare_strategies`` fills the whole burst
 and noburst tables once and reduces every column over them.  Geometries are
-searched independently (optionally in parallel), so plans do not depend on
-the worker count.
+searched independently (on one worker unless more are asked for), so
+plans do not depend on the worker count.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -62,10 +67,10 @@ from .util import ceil_div, minimum, select
 PARTITION_ORDER = (TlePartitionKind.KS, TlePartitionKind.KS_OFM, TlePartitionKind.OFM)
 SCHEDULE_ORDER = (ScheduleKind.IS, ScheduleKind.OS, ScheduleKind.WS)
 
-# Cap on grid cells priced per vectorized chunk, to bound temporaries.  A
-# box of sides that fits one chunk is priced as that box: skipping its
-# infeasible cells would save less than the staircase's bookkeeping and
-# extra chunks cost.
+# Cap on the cells priced, and on the (t_r, t_c) pairs walked, per
+# vectorized chunk, so no temporary grows with the cells or pairs that fit.
+# A box of sides that fits one chunk is priced as that box: skipping its
+# infeasible cells would save less than the walk's bookkeeping costs.
 _CHUNK_CELLS = 1 << 16
 
 # Largest scratchpad-capped box priced whole rather than one tile per class:
@@ -169,13 +174,14 @@ def _grid_search(
     whole box's, bit for bit.
 
     The sides priced form a box; one of at most ``_CHUNK_CELLS`` cells is
-    priced as one broadcast.  A larger one is walked as a staircase
-    (``_staircase``) of the cells that fit.  Every priced cell goes through
-    filter_count, tile_footprint and calc_time exactly as a single tile does,
-    and cells without a filter group or overflowing a scratchpad are masked
-    out, so the caps need only over-approximate.  The feasible count is of
-    the whole box: from the masks when it is priced whole, else from the
-    scratchpad inequalities (``_count_feasible``).
+    priced as one broadcast.  In a larger one only the cells that fit are
+    priced: ``_walk`` gives each (t_r, t_c) pair's range of depths, and the
+    depths inside it are priced in chunks in (t_r, t_c, t_n) order.  Every
+    priced cell goes through filter_count, tile_footprint and calc_time
+    exactly as a single tile does, and cells without a filter group or
+    overflowing a scratchpad are masked out.  The feasible count is of the
+    whole box: from the masks when it is priced whole, else the sum of the
+    depth ranges of every pair the walk gives.
     """
     n_candidates = slice_.tle_r * conv.c * conv.n
     e, k, s = conv.elem_bytes, conv.k, conv.s
@@ -201,7 +207,7 @@ def _grid_search(
         box = (t_r.reshape(-1, 1, 1), t_c.reshape(1, -1, 1))
         chunks = [(t_m.reshape(1, 1, -1), t_n.reshape(1, 1, -1), *box)]
     else:
-        chunks = _staircase(t_m, t_n, t_r, t_c, conv, arch)
+        chunks = _walk_cells(_walk(t_r, t_c, t_m, t_n, n_hi, q, conv, arch), t_m, t_n)
 
     best_val = np.inf
     best_key: tuple[int, int, int, int] | None = None
@@ -221,23 +227,17 @@ def _grid_search(
         n_feasible += int(np.count_nonzero(feasible))
         flat = int(np.argmin(t_total))
         val = float(t_total.flat[flat])
-        if val > best_val or val == np.inf:
-            continue
-        if t_total.ndim == 3:
-            # A box in C order is in (t_r, t_c, t_n) order: argmin is first.
-            i, j, l = np.unravel_index(flat, t_total.shape)
-            key = (int(r_.flat[i]), int(c_.flat[j]), int(n_.flat[l]), int(m_.flat[l]))
-        else:
-            # Band rows are not in (t_r, t_n) order: sort the band's minima.
-            rows, cols = np.nonzero(t_total == val)
-            keys = (r_[rows, 0], c_[0, cols], n_[rows, 0], m_[rows, 0])
-            i = np.lexsort(keys[2::-1])[0]
-            key = tuple(int(side[i]) for side in keys)
-        if val < best_val or key < best_key:
-            best_val, best_key = val, key
+        if val < best_val:
+            # Chunks come in (t_r, t_c, t_n) order and a box in C order is
+            # in that order too, so argmin's cell is the first minimum.
+            i, j, l = np.unravel_index(flat, t_total.shape) if t_total.ndim == 3 else [flat] * 3
+            best_val = val
+            best_key = (int(r_.flat[i]), int(c_.flat[j]), int(n_.flat[l]), int(m_.flat[l]))
     if by_class:
         # The masks saw only the first side of each class.
-        n_feasible = _count_feasible(t_m, t_n, r_hi, c_hi, n_hi, q, conv, arch)
+        every = (np.arange(1, hi + 1, dtype=np.int64) for hi in (r_hi, c_hi))
+        walk = _walk(*every, t_m, t_n, n_hi, q, conv, arch)
+        n_feasible = sum(int(np.maximum(top - bottom + 1, 0).sum()) for *_, bottom, top in walk)
     return _GridResult(best_key, best_val, n_feasible, n_candidates)
 
 
@@ -301,85 +301,56 @@ def _steps(fn, hi: int, ways: int = 32):
     return np.concatenate(found)
 
 
-def _ranks(counts):
-    """0..count-1 for each count in turn, concatenated."""
-    return np.arange(int(counts.sum())) - np.repeat(np.cumsum(counts) - counts, counts)
+def _chunks(counts):
+    """(row, rank) index arrays of ranks 0..count-1 of every row of
+    ``counts`` in row-major order, in chunks of at most ``_CHUNK_CELLS``."""
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1]) if ends.size else 0
+    for start in range(0, total, _CHUNK_CELLS):
+        flat = np.arange(start, min(start + _CHUNK_CELLS, total))
+        rows = np.searchsorted(ends, flat, side="right")
+        yield rows, flat - starts[rows]
 
 
-def _count_feasible(
-    t_m, t_n, r_hi: int, c_hi: int, n_hi: int, q: ScheduleKind, conv: ConvLayerSpec,
-    arch: ArchConfig,
-) -> int:
-    """Cells of the capped box that fit the scratchpads, counted without
-    pricing; t_n holds every depth where t_m changes, with its t_m.
+def _walk(t_r, t_c, t_m, t_n, n_hi: int, q: ScheduleKind, conv: ConvLayerSpec, arch: ArchConfig):
+    """(t_r, t_c, bottom, top) chunks: every pair of the sorted side arrays
+    that fits at depth 1 with the smallest group, in (t_r, t_c) order, with
+    the range bottom..top of the depths that fit it (empty when bottom >
+    top).  t_n holds every depth where t_m changes, with its t_m.
 
     A cell's input bytes are t_n times its depth-1 tile's and its output
     bytes t_m times its one-filter tile's, and t_m never grows with t_n.  So
     at one (t_r, t_c) the depths that fit are a range: from the first whose
     t_m fits mb2 up to the last that fits mb0 and has a filter group.  mb1
-    holds every group filter_count gives."""
+    holds every group filter_count gives.  Both bytes grow with t_c, so the
+    pairs of one t_r are a prefix of t_c."""
     e, k, s = conv.elem_bytes, conv.k, conv.s
     h_pad, l_pad = conv.h + 2 * conv.p, conv.l + 2 * conv.p
     live = t_m >= 1
     n_live = n_hi if live.all() else int(t_n[np.argmin(live)]) - 1
-    # Only the (t_r, t_c) that fit at depth 1 with the smallest group can
-    # hold a feasible cell.
-    t_r = np.arange(1, r_hi + 1, dtype=np.int64)
     t_h = np.minimum((t_r - 1) * s + k, h_pad)
     c_max = np.minimum(
         arch.mb2_bytes // (e * int(t_m[live][-1]) * t_r),
-        _side_cap(arch.mb0_bytes // (e * t_h), k, s, l_pad, c_hi),
+        _side_cap(arch.mb0_bytes // (e * t_h), k, s, l_pad, int(t_c[-1])),
     )
-    c_max = np.maximum(c_max, 0)
-    unit = tile_footprint(1, 1, np.repeat(t_r, c_max), _ranks(c_max) + 1, q, conv)
-    top = np.minimum(n_live, arch.mb0_bytes // unit.in_bytes)
-    first = np.searchsorted(-t_m, -(arch.mb2_bytes // unit.out_bytes))
-    bottom = np.append(t_n, n_hi + 1)[first]
-    return int(np.maximum(top - bottom + 1, 0).sum())
+    bottoms = np.append(t_n, n_hi + 1)
+    for rows, cols in _chunks(np.searchsorted(t_c, c_max, side="right")):
+        r_, c_ = t_r[rows], t_c[cols]
+        unit = tile_footprint(1, 1, r_, c_, q, conv)
+        top = np.minimum(n_live, arch.mb0_bytes // unit.in_bytes)
+        bottom = bottoms[np.searchsorted(-t_m, -(arch.mb2_bytes // unit.out_bytes))]
+        yield r_, c_, bottom, top
 
 
-def _staircase(t_m, t_n, t_r, t_c, conv: ConvLayerSpec, arch: ArchConfig):
-    """(t_m, t_n, t_r, t_c) chunks covering every cell of the sorted side
-    arrays that fits.  t_m depends on t_n alone and the mb0 and mb2 bytes
-    grow with t_c, so every (t_r, t_n) row that fits at t_c = 1 fits a prefix
-    of t_c.  Rows are priced with their prefixes in bands of similar prefix
-    length, each of at most ``_CHUNK_CELLS`` cells."""
-    e, k, s = conv.elem_bytes, conv.k, conv.s
-    h_pad, l_pad = conv.h + 2 * conv.p, conv.l + 2 * conv.p
-    # Per depth, the rows t_r that fit with t_c = 1; none without a filter.
-    live = t_m >= 1
-    t_m = np.maximum(t_m, 1)
-    r_max = np.minimum(
-        arch.mb2_bytes // (e * t_m),
-        _side_cap(arch.mb0_bytes // (e * min(k, l_pad) * t_n), k, s, h_pad, int(t_r[-1])),
-    )
-    r_cnt = np.where(live, np.searchsorted(t_r, r_max, side="right"), 0)
-    row_n = np.repeat(t_n, r_cnt)
-    row_m = np.repeat(t_m, r_cnt)
-    row_r = t_r[_ranks(r_cnt)]
-    row_h = np.minimum((row_r - 1) * s + k, h_pad)
-    c_max = np.minimum(
-        arch.mb2_bytes // (e * row_m * row_r),
-        _side_cap(arch.mb0_bytes // (e * row_n * row_h), k, s, l_pad, int(t_c[-1])),
-    )
-    # Every row fits t_c = 1, so its prefix holds at least one side.  A band
-    # is priced at the widest prefix it holds, so it takes only the rows
-    # whose prefix is over half that width: at most half of its cells are
-    # infeasible.
-    c_cnt = np.searchsorted(t_c, c_max, side="right")
-    order = np.argsort(c_cnt)
-    c_sorted = c_cnt[order]
-    stop = row_n.size
-    while stop:
-        width = int(c_sorted[stop - 1])
-        start = int(np.searchsorted(c_sorted, width // 2, side="right"))
-        for c0 in range(0, width, _CHUNK_CELLS):
-            cols = t_c[c0 : min(c0 + _CHUNK_CELLS, width)]
-            step = max(1, _CHUNK_CELLS // cols.size)
-            for r0 in range(start, stop, step):
-                rows = order[r0 : min(r0 + step, stop)]
-                yield row_m[rows, None], row_n[rows, None], row_r[rows, None], cols[None, :]
-        stop = start
+def _walk_cells(walk, t_m, t_n):
+    """(t_m, t_n, t_r, t_c) chunks of the sides of t_n inside each walked
+    pair's depth range, in (t_r, t_c, t_n) order."""
+    for r_, c_, bottom, top in walk:
+        lo = np.searchsorted(t_n, bottom)
+        for pairs, ranks in _chunks(np.maximum(np.searchsorted(t_n, top, side="right") - lo, 0)):
+            depth = lo[pairs] + ranks
+            yield t_m[depth], t_n[depth], r_[pairs], c_[pairs]
 
 
 def build_entry(
@@ -495,8 +466,9 @@ def tso(
 ) -> PlanMap:
     """Plan every layer of a model.
 
-    Each distinct layer geometry is searched once; workers caps how many
-    are searched in parallel, and the plan is identical for any count.
+    Each distinct layer geometry is searched once; workers (one if None)
+    caps how many are searched in parallel, and the plan is identical for
+    any count.
     Search statistics count every layer, repeated geometries included.
     """
     tables = _map_geometries(
@@ -521,15 +493,13 @@ def tso(
 
 
 def _map_geometries(layers, fn, workers: int | None) -> list:
-    """fn of every layer, called on up to ``workers`` threads once per
-    distinct geometry (the layer without its name)."""
+    """fn of every layer, called on up to ``workers`` threads (one if None)
+    once per distinct geometry (the layer without its name)."""
     first: dict[ConvLayerSpec, ConvLayerSpec] = {}
     for conv in layers:
         first.setdefault(replace(conv, name=""), conv)
     distinct = list(first.values())
-    if workers is None:
-        workers = os.cpu_count() or 1
-    if workers <= 1 or len(distinct) <= 1:
+    if workers is None or workers <= 1 or len(distinct) <= 1:
         results = [fn(conv) for conv in distinct]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:

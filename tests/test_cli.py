@@ -176,24 +176,29 @@ class TestBoundedSearch:
         "sys.exit(main(sys.argv[1:]))\n"
     )
 
-    def test_deepest_accepted_layer_plans_under_2_gib(self, write_configs, nmp, tmp_path):
-        conv = ConvLayerSpec(
-            name="deep", n=2**31 - 1, h=6, l=6, m=8, k=3, s=1, p=1, r=6, c=6, elem_bytes=2
-        )
-        model_path, arch_path = write_configs(ModelSpec(name="deep", layers=(conv,)), nmp)
+    def plan_in_child(self, write_configs, tmp_path, conv, arch, *options):
+        """The one entry of the layer's plan, made by ``plan`` in the child."""
+        model_path, arch_path = write_configs(ModelSpec(name=conv.name, layers=(conv,)), arch)
         out = tmp_path / "plan.json"
         src = str(Path(tsoplan.__file__).parents[1])
         env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
         env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-c", self.CHILD, "plan", "--model", model_path,
-             "--arch", arch_path, "--out", str(out), "--threads", "1"],
+             "--arch", arch_path, "--out", str(out), "--threads", "1", *options],
             capture_output=True, text=True, timeout=300, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert "Traceback" not in proc.stderr
         entry, = json.loads(out.read_text())["entries"]
-        assert entry["layer"] == "deep"
+        assert entry["layer"] == conv.name
+        return entry
+
+    def test_deepest_accepted_layer_plans_under_2_gib(self, write_configs, nmp, tmp_path):
+        conv = ConvLayerSpec(
+            name="deep", n=2**31 - 1, h=6, l=6, m=8, k=3, s=1, p=1, r=6, c=6, elem_bytes=2
+        )
+        entry = self.plan_in_child(write_configs, tmp_path, conv, nmp)
         assert 1 <= entry["t_n"] <= nmp.mb0_bytes // (2 * 3 * 3)
 
     def test_deepest_layer_on_largest_scratchpads_plans_under_2_gib(
@@ -206,21 +211,23 @@ class TestBoundedSearch:
         )
         big = 2**31 - 1
         arch = dataclasses.replace(nmp, mb0_bytes=big, mb1_bytes=big, mb2_bytes=big)
-        model_path, arch_path = write_configs(ModelSpec(name="deep", layers=(conv,)), arch)
-        out = tmp_path / "plan.json"
-        src = str(Path(tsoplan.__file__).parents[1])
-        env = dict(os.environ, OPENBLAS_NUM_THREADS="1")
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
-        proc = subprocess.run(
-            [sys.executable, "-c", self.CHILD, "plan", "--model", model_path,
-             "--arch", arch_path, "--out", str(out), "--threads", "1"],
-            capture_output=True, text=True, timeout=300, env=env,
-        )
-        assert proc.returncode == 0, proc.stderr
-        assert "Traceback" not in proc.stderr
-        entry, = json.loads(out.read_text())["entries"]
-        assert entry["layer"] == "deep"
+        entry = self.plan_in_child(write_configs, tmp_path, conv, arch)
         assert 1 <= entry["t_n"] <= big // (2 * 3 * 3)
+
+    def test_widest_layer_on_largest_scratchpads_plans_under_2_gib(
+        self, write_configs, nmp, tmp_path
+    ):
+        # 36 M (t_r, t_c) pairs fit at depth 1, so counting the feasible
+        # tiles must not build one array entry per pair.
+        conv = ConvLayerSpec(
+            name="wide", n=1, h=6000, l=6000, m=1, k=1, s=1, p=0, r=6000, c=6000, elem_bytes=2
+        )
+        big = 2**31 - 1
+        arch = dataclasses.replace(nmp, mb0_bytes=big, mb1_bytes=big, mb2_bytes=big)
+        entry = self.plan_in_child(
+            write_configs, tmp_path, conv, arch, "--fixed-tle", "ks", "--fixed-tlt", "os"
+        )
+        assert (entry["t_r"], entry["t_c"], entry["t_n"]) == (6000, 6000, 1)
 
     def test_layer_beyond_int64_pricing_exits_1(self, write_configs, nmp, capsys):
         # Every field at the cap: move counts would wrap in int64.

@@ -529,14 +529,15 @@ def plain_grid(conv, arch, slice_, q, model):
 
 
 # The search as built, with chunks so small that every grid of more than
-# 64 or 3 cells is walked as a staircase, and pricing one tile per class on
-# every grid, as one box or as a staircase of classes.
+# 64 or 3 cells prices only the cells the walk finds fit, and pricing one
+# tile per class on every grid, as one box or as the walked classes that
+# fit, counting the feasible cells by a walk of 3-pair chunks.
 SEARCH_PATHS = {
     "as_built": {},
-    "staircase": {"_CHUNK_CELLS": 64},
+    "walk": {"_CHUNK_CELLS": 64},
     "small_chunks": {"_CHUNK_CELLS": 3},
     "classes": {"_SMALL_BOX_CELLS": 0},
-    "class_staircase": {"_SMALL_BOX_CELLS": 0, "_CHUNK_CELLS": 3},
+    "class_walk": {"_SMALL_BOX_CELLS": 0, "_CHUNK_CELLS": 3},
 }
 
 
@@ -660,40 +661,18 @@ class TestEnumerationReferee:
             assert got == expected, path
 
 
-class TestStaircaseEnumeration:
-    """The search prices the tiles that can fit, not the whole tile box."""
+class TestPricedCells:
+    """The search prices one tile per class, not the whole tile box."""
 
-    def test_inception_prices_at_most_2_5x_the_feasible_cells(self, monkeypatch):
-        # Pricing the whole box would cost 5.2x the feasible cells here.
+    def test_inception_prices_at_most_0_15x_the_feasible_cells(self, monkeypatch):
+        # One tile per class: about 0.12x the feasible cells here, which
+        # would be 5.2x had the whole box been priced.
         priced, feasible = [], []
         real_calc, real_grid = tsoplan.search.calc_time, tsoplan.search._grid_search
 
         def counted_calc(tile, *args):
             sides = (tile.t_m, tile.t_n, tile.t_r, tile.t_c)
             if any(np.ndim(side) for side in sides):  # a grid, not a winner's rebuild
-                priced.append(np.broadcast_shapes(*map(np.shape, sides)))
-            return real_calc(tile, *args)
-
-        def counted_grid(*args):
-            res = real_grid(*args)
-            feasible.append(res.n_feasible)
-            return res
-
-        monkeypatch.setattr(tsoplan.search, "calc_time", counted_calc)
-        monkeypatch.setattr(tsoplan.search, "_grid_search", counted_grid)
-        tso(sample_model("inceptionv3"), nmp_profile(), workers=1)
-        n_priced = sum(int(np.prod(shape)) for shape in priced)
-        assert sum(feasible) > 6_000_000
-        assert n_priced <= 2.5 * sum(feasible)
-
-    def test_inception_prices_at_most_0_15x_the_feasible_cells(self, monkeypatch):
-        # One tile per class: about 0.12x the feasible cells here.
-        priced, feasible = [], []
-        real_calc, real_grid = tsoplan.search.calc_time, tsoplan.search._grid_search
-
-        def counted_calc(tile, *args):
-            sides = (tile.t_m, tile.t_n, tile.t_r, tile.t_c)
-            if any(np.ndim(side) for side in sides):
                 priced.append(int(np.prod(np.broadcast_shapes(*map(np.shape, sides)))))
             return real_calc(tile, *args)
 
@@ -705,7 +684,24 @@ class TestStaircaseEnumeration:
         monkeypatch.setattr(tsoplan.search, "calc_time", counted_calc)
         monkeypatch.setattr(tsoplan.search, "_grid_search", counted_grid)
         tso(sample_model("inceptionv3"), nmp_profile(), workers=1)
+        assert sum(feasible) > 6_000_000
         assert sum(priced) <= 0.15 * sum(feasible)
+
+
+class TestChunks:
+    """_chunks enumerates (row, rank) in row-major order, at most
+    _CHUNK_CELLS pairs per chunk."""
+
+    @pytest.mark.parametrize(
+        "counts",
+        [[], [0, 0], [3], [0, 2, 0, 0, 1, 0], [0, 200, 5, 0], [64, 64], [1] * 130],
+    )
+    def test_chunks_enumerate_rows_in_order(self, monkeypatch, counts):
+        monkeypatch.setattr(tsoplan.search, "_CHUNK_CELLS", 64)
+        chunks = list(tsoplan.search._chunks(np.array(counts, dtype=np.int64)))
+        assert all(0 < rows.size == ranks.size <= 64 for rows, ranks in chunks)
+        got = [(int(row), int(rank)) for rows, ranks in chunks for row, rank in zip(rows, ranks)]
+        assert got == [(row, rank) for row, count in enumerate(counts) for rank in range(count)]
 
 
 class TestClassLemma:
