@@ -13,17 +13,19 @@ flagged in the search statistics.
 A capped box of at most ``_SMALL_BOX_CELLS`` cells is priced whole, where
 finding classes would cost more than it saves.  A larger one is priced one
 tile per class: sides of one axis are interchangeable when they give the
-same loop trip counts, window-coverage flag and (for t_n) filter group, and
-within such a class the cost never falls and the fit never improves as the
-side grows.  The first side of each class therefore stands for the class,
-and the first strict minimum over these sides is the whole box's, bit for
-bit.
+same key, the tuple of what the cost reads of a side (loop trip counts,
+window-coverage flag and, for t_n, filter group), and within such a class
+the cost never falls and the fit never improves as the side grows.  The
+first side of each class therefore stands for the class, and the first
+strict minimum over these sides is the whole box's, bit for bit.  Every
+part of a key is monotone in the side, so one step finder, ``_steps``,
+lists the first sides of every axis.
 A box of first sides larger than ``_CHUNK_CELLS`` is priced only where it
 fits: one walk of the (t_r, t_c) pairs that fit at depth 1 gives each pair
-its range of depths that fit, and the same walk over every side counts the
-box's feasible tiles.  The walk and the pricing run in chunks of at most
-``_CHUNK_CELLS`` pairs or cells, so no array grows with the pairs or cells
-that fit; the count's arrays of every t_r and every t_c grow with the sides.
+its range of depths that fit, and the same walk over every side, in blocks
+of sides, counts the box's feasible tiles.  The walk and the pricing run in
+chunks of at most ``_CHUNK_CELLS`` pairs or cells, so no array grows with
+the pairs or cells that fit, nor with the sides the count walks.
 Tiles are priced by the same filter_count, tile_footprint and calc_time
 that price a single tile, called with numpy arrays of candidate sides in
 place of ints, so the winner is what a plain-loop sweep over the whole tile
@@ -42,7 +44,6 @@ plans do not depend on the worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -77,9 +78,9 @@ _CHUNK_CELLS = 1 << 16
 # finding the classes and counting the feasible cells costs about as much
 # as pricing a few thousand cells.  Median of 3 one-thread
 # compare_strategies runs on a shared 2-core Xeon (Python 3.11, numpy 2.4)
-# at cutoffs of 0 / 512 / 4,096 / 65,536 cells: InceptionV3 0.77 / 0.77 /
-# 0.75 / 1.92 s, the 400 distinct bench convs 5.79 / 5.79 / 4.99 / 8.03 s,
-# the 64 referee bench convs 0.82 / 0.51 / 0.53 / 0.53 s.
+# at cutoffs of 0 / 512 / 4,096 / 65,536 cells: InceptionV3 0.62 / 0.62 /
+# 0.65 / 1.57 s, the 400 distinct bench convs 5.29 / 5.54 / 4.88 / 7.72 s,
+# the 64 referee bench convs 0.57 / 0.32 / 0.30 / 0.29 s.
 _SMALL_BOX_CELLS = 1 << 12
 
 # Bound on a layer's move product n_tle*m*n*r*c*k*k and window product
@@ -162,16 +163,16 @@ def _grid_search(
     t_r and t_c through the input window, mb2 caps t_r and t_c), so no side
     passes what the scratchpads allow.  A capped box of at most
     ``_SMALL_BOX_CELLS`` cells is priced whole.  In a larger one, sides of
-    one axis share a class when everything the cost reads of them agrees:
-    for t_r, ceil(tle_r/t_r), ceil(r/t_r) and whether the input window
-    covers all h rows; for t_c, ceil(c/t_c) and whether it covers all l
-    columns; for t_n, ceil(n/t_n) and filter_count's t_m (t_n >= n is where
-    ceil(n/t_n) reaches 1).  Within a class the alphas, tile counts and
-    software term are constant, while bytes, aligned bursts and MAC cycles
-    never decrease with the side, so the class's first side costs no more
-    than any other, fits whenever any other does and comes first.  Only the
-    first sides are priced, and the first strict minimum over them is the
-    whole box's, bit for bit.
+    one axis share a class when their keys, everything the cost reads of
+    them, agree: for t_r, ceil(tle_r/t_r), ceil(r/t_r) and whether the
+    input window covers all h rows; for t_c, ceil(c/t_c) and whether it
+    covers all l columns; for t_n, ceil(n/t_n) and filter_count's t_m (t_n
+    >= n is where ceil(n/t_n) reaches 1).  Within a class the alphas, tile
+    counts and software term are constant, while bytes, aligned bursts and
+    MAC cycles never decrease with the side, so the class's first side
+    costs no more than any other, fits whenever any other does and comes
+    first.  Only the first sides are priced, and the first strict minimum
+    over them is the whole box's, bit for bit.
 
     The sides priced form a box; one of at most ``_CHUNK_CELLS`` cells is
     priced as one broadcast.  In a larger one only the cells that fit are
@@ -181,7 +182,7 @@ def _grid_search(
     exactly as a single tile does, and cells without a filter group or
     overflowing a scratchpad are masked out.  The feasible count is of the
     whole box: from the masks when it is priced whole, else the sum of the
-    depth ranges of every pair the walk gives.
+    depth ranges of every pair the walk gives over every side.
     """
     n_candidates = slice_.tle_r * conv.c * conv.n
     e, k, s = conv.elem_bytes, conv.k, conv.s
@@ -234,10 +235,17 @@ def _grid_search(
             best_val = val
             best_key = (int(r_.flat[i]), int(c_.flat[j]), int(n_.flat[l]), int(m_.flat[l]))
     if by_class:
-        # The masks saw only the first side of each class.
-        every = (np.arange(1, hi + 1, dtype=np.int64) for hi in (r_hi, c_hi))
-        walk = _walk(*every, t_m, t_n, n_hi, q, conv, arch)
-        n_feasible = sum(int(np.maximum(top - bottom + 1, 0).sum()) for *_, bottom, top in walk)
+        # The masks saw only the first side of each class.  Every side is
+        # walked in blocks; the pairs of a t_r are a prefix of t_c, so a
+        # t_c block without a pair ends its t_r block.
+        n_feasible = 0
+        for rows in _blocks(r_hi):
+            for cols in _blocks(c_hi):
+                walk = _walk(rows, cols, t_m, t_n, n_hi, q, conv, arch)
+                ranges = [int(np.maximum(top - bottom + 1, 0).sum()) for *_, bottom, top in walk]
+                if not ranges:
+                    break
+                n_feasible += sum(ranges)
     return _GridResult(best_key, best_val, n_feasible, n_candidates)
 
 
@@ -246,59 +254,46 @@ def _class_sides(
     caps: tuple[int, int, int],
 ):
     """The first side of every class on each axis (see ``_grid_search``),
-    up to the (t_r, t_c, t_n) caps, as sorted arrays."""
-    r_hi, c_hi, n_hi = caps
+    up to the (t_r, t_c, t_n) caps, as sorted arrays: side 1 and each side
+    where the axis's key, the tuple of what the cost reads of a side,
+    changes.  Every part of a key is monotone in t."""
     k, s = conv.k, conv.s
-    # While tle_slicing gives tle_r = ceil(r/N), ceil(tle_r/t_r) follows
-    # from ceil(r/t_r); its starts are kept so the classes follow what the
-    # cost reads, not how slices are cut.
-    t_r = (
-        _quotient_starts(slice_.tle_r, r_hi),
-        _quotient_starts(conv.r, r_hi),
-        _covering(conv.h, r_hi, k, s),
+    keys = (
+        lambda t: (ceil_div(slice_.tle_r, t), ceil_div(conv.r, t), (t - 1) * s + k >= conv.h),
+        lambda t: (ceil_div(conv.c, t), (t - 1) * s + k >= conv.l),
+        lambda t: (ceil_div(conv.n, t), filter_count(t, q, slice_.tle_w, n_tlt, conv, arch)),
     )
-    t_c = (_quotient_starts(conv.c, c_hi), _covering(conv.l, c_hi, k, s))
-
-    def groups(t_n):
-        return filter_count(t_n, q, slice_.tle_w, n_tlt, conv, arch)
-
-    t_n = (_quotient_starts(conv.n, n_hi), _steps(groups, n_hi))
-    return tuple(np.unique(np.concatenate(starts)) for starts in (t_r, t_c, t_n))
+    return tuple(_steps(key, hi) for key, hi in zip(keys, caps))
 
 
-def _quotient_starts(num: int, hi: int):
-    """The sides t in 1..hi where ceil(num/t) takes a new value: every t up
-    to sqrt(num), then ceil(num/q) for each smaller quotient q, which is the
-    first side of q's divisor block.  O(sqrt(num)) entries, unsorted."""
-    root = math.isqrt(num)
-    if hi <= root:
-        return np.arange(1, hi + 1, dtype=np.int64)
-    starts = -(-num // np.arange(1, num // root + 1, dtype=np.int64))
-    return np.concatenate((np.arange(1, root + 1, dtype=np.int64), starts[starts <= hi]))
+def _steps(key, hi: int):
+    """Side 1 and every side t in 2..hi where key(t) != key(t - 1), sorted.
 
-
-def _covering(extent: int, hi: int, k: int, s: int):
-    """The first side t <= hi whose input window (t - 1)*s + k spans
-    ``extent``, if any."""
-    t = max(1, ceil_div(extent - k, s) + 1)
-    return np.array([t] if t <= hi else [], dtype=np.int64)
-
-
-def _steps(fn, hi: int, ways: int = 32):
-    """The sides t in 2..hi where fn(t) != fn(t - 1), for a monotone fn of
-    an array of sides: fn is evaluated at the ends of ``ways`` parts of every
-    range whose ends differ, until each such part is one step long."""
+    ``key`` maps an array of sides to a tuple of parts (arrays, or scalars
+    that do not vary with t), each monotone in t, so a key equal at both
+    ends of a range is constant inside it.  The first pass reads the key at
+    up to ``_CHUNK_CELLS`` + 1 evenly spaced sides, every side when hi is
+    within that; each range whose ends differ is then cut in 32 parts,
+    until every such part is one step long."""
     lo, up = np.array([1], dtype=np.int64), np.array([hi], dtype=np.int64)
-    found = []
+    found, ways = [lo], max(1, min(hi - 1, _CHUNK_CELLS))
     while lo.size:
         cuts = lo[:, None] + (up - lo)[:, None] * np.arange(ways + 1) // ways
-        vals = np.broadcast_to(fn(cuts), cuts.shape)
-        differ = vals[:, 1:] != vals[:, :-1]
+        differ = np.zeros((lo.size, ways), dtype=bool)
+        for part in key(cuts):
+            if np.ndim(part):  # a scalar part is constant
+                differ |= part[:, 1:] != part[:, :-1]
         lo, up = cuts[:, :-1][differ], cuts[:, 1:][differ]
         step = up - lo == 1
         found.append(up[step])
-        lo, up = lo[~step], up[~step]
-    return np.concatenate(found)
+        lo, up, ways = lo[~step], up[~step], 32
+    return np.sort(np.concatenate(found))
+
+
+def _blocks(hi: int):
+    """The sides 1..hi in arrays of at most ``_CHUNK_CELLS``."""
+    for lo in range(1, hi + 1, _CHUNK_CELLS):
+        yield np.arange(lo, min(lo + _CHUNK_CELLS, hi + 1), dtype=np.int64)
 
 
 def _chunks(counts):

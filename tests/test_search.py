@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -702,6 +703,75 @@ class TestChunks:
         assert all(0 < rows.size == ranks.size <= 64 for rows, ranks in chunks)
         got = [(int(row), int(rank)) for rows, ranks in chunks for row, rank in zip(rows, ranks)]
         assert got == [(row, rank) for row, count in enumerate(counts) for rank in range(count)]
+
+
+STEP_CONV = conv_for(n=40, h=9, l=7, m=32, k=3, s=2)
+STEP_ARCH = arch_with(8192, 1024, 32)
+
+
+def depth_key(q):
+    """ceil(n/t) and filter_count's t_m, as _class_sides keys t_n."""
+    conv, arch = STEP_CONV, STEP_ARCH
+    return lambda t: (-(-conv.n // t), filter_count(t, q, conv.m, 1, conv, arch))
+
+
+# Keys built the way _class_sides builds them: ceil(N/t) trip counts,
+# window-coverage flags and filter_count's t_m, each monotone in t.
+STEP_KEYS = {
+    "ceil_37": lambda t: (-(-37 // t),),
+    "ceil_10**6": lambda t: (-(-10**6 // t),),
+    "covers_50": lambda t: ((t - 1) * 2 + 3 >= 50,),
+    "rows": lambda t: (-(-13 // t), -(-25 // t), (t - 1) * 2 + 3 >= 50),
+    "depth_is": depth_key(ScheduleKind.IS),
+    "depth_os": depth_key(ScheduleKind.OS),
+    "depth_ws": depth_key(ScheduleKind.WS),
+}
+
+
+class TestSteps:
+    """_steps lists side 1 and every side where a monotone key changes,
+    as a plain scan over every side does, both when its first pass reads
+    every side and when it bisects past _CHUNK_CELLS."""
+
+    def test_ws_depth_key_has_a_scalar_filter_count(self):
+        assert np.ndim(STEP_KEYS["depth_ws"](np.arange(1, 9))[1]) == 0
+
+    @pytest.mark.parametrize(
+        "hi,chunk", [(1, 1 << 16), (2, 1 << 16), (300, 1 << 16), (70_000, 1 << 16),
+                     (1, 1), (2, 1), (300, 1), (300, 8)],
+    )
+    @pytest.mark.parametrize("name", STEP_KEYS)
+    def test_steps_match_a_plain_scan(self, monkeypatch, name, hi, chunk):
+        monkeypatch.setattr(tsoplan.search, "_CHUNK_CELLS", chunk)
+        key = STEP_KEYS[name]
+        keys = [key(t) for t in range(1, hi + 1)]
+        expected = [1] + [t for t in range(2, hi + 1) if keys[t - 1] != keys[t - 2]]
+        got = tsoplan.search._steps(key, hi)
+        assert got[0] == 1 and (np.diff(got) > 0).all()
+        assert got.tolist() == expected
+
+
+class TestCountMemory:
+    """A class-priced grid's feasible tiles are counted over every side in
+    blocks, so no array of the count holds every t_r or every t_c."""
+
+    @pytest.mark.parametrize("tall", [True, False])
+    def test_count_holds_no_array_of_every_side(self, tall):
+        side = 2**22
+        conv = conv_for(n=1, h=side if tall else 1, l=1 if tall else side, m=1, k=1)
+        big = 2**31 - 1
+        arch = arch_with(big, big, big, n_tle=1, n_tlt=1)
+        slice_ = tle_slicing(TlePartitionKind.KS, conv, 1)
+        tracemalloc.start()
+        try:
+            res = tsoplan.search._grid_search(conv, arch, slice_, ScheduleKind.OS, "burst", 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Every one-channel tile of one row or column fits.
+        assert res.best[:3] == ((side, 1, 1) if tall else (1, side, 1))
+        assert res.n_feasible == side
+        assert peak < 8 * side  # smaller than one int64 array of every side
 
 
 class TestClassLemma:
