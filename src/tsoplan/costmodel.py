@@ -9,8 +9,9 @@ Transfers are charged per tile kind: how often a tile of each kind moves
 (the alpha factors) times how long one such move takes.  In the burst time
 model a move pays one CAS latency per DRAM burst it touches plus the tile's
 bytes over the peak bandwidth; in the noburst model only the bandwidth term
-remains.  Burst counts come from decomposing the tile's footprint into
-maximal contiguous byte runs of the row-major source tensor.
+remains; only this DRAM term depends on the time model.  Burst counts come
+from decomposing the tile's footprint into maximal contiguous byte runs of
+the row-major source tensor.
 
 Every formula here takes plain ints for one tile or numpy arrays for a grid
 of candidate tiles; the search prices its grids through these same
@@ -245,22 +246,21 @@ def calc_time(
     arrays bit for bit equal to pricing each tile on its own.
     """
     alphas = compute_alphas(q, conv, slice_, tile, arch.n_tle)
-    nb_in, nb_w, nb_out = (aligned_bursts(kind, tile, conv, arch) for kind in TileKind)
-    t_dram = (
-        alphas.a_in * transfer_time(nb_in, tile.in_bytes, arch, model)
-        + alphas.a_w * transfer_time(nb_w, tile.w_bytes, arch, model)
-        + alphas.a_out * transfer_time(nb_out, tile.out_bytes, arch, model)
-    )
-    t_mac = conv_mac_time(tile, conv, arch)
+    bursts = (aligned_bursts(kind, tile, conv, arch) for kind in TileKind)
     t_sw = alphas.total * arch.sw_overhead_s
-    return CostBreakdown(
-        t_mac=t_mac,
-        t_dram=t_dram,
-        t_sw=t_sw,
-        t_total=t_mac + t_dram + t_sw,
-        alphas=alphas,
-        bursts_in=nb_in,
-        bursts_w=nb_w,
-        bursts_out=nb_out,
-        mode=model,
+    cost = CostBreakdown(conv_mac_time(tile, conv, arch), 0.0, t_sw, 0.0, alphas, *bursts, model)
+    return remodel(cost, tile, arch, model)
+
+
+def remodel(cost: CostBreakdown, tile: TileConfig, arch: ArchConfig, model: TimeModel):
+    """``cost`` of ``tile`` with the DRAM term and total under ``model``, the
+    only terms a time model changes.  calc_time builds its own here, so this
+    is calc_time under ``model`` bit for bit, elementwise over array tiles."""
+    a, t_mac, t_sw = cost.alphas, cost.t_mac, cost.t_sw
+    t_dram = (
+        a.a_in * transfer_time(cost.bursts_in, tile.in_bytes, arch, model)
+        + a.a_w * transfer_time(cost.bursts_w, tile.w_bytes, arch, model)
+        + a.a_out * transfer_time(cost.bursts_out, tile.out_bytes, arch, model)
     )
+    bursts = (cost.bursts_in, cost.bursts_w, cost.bursts_out)
+    return CostBreakdown(t_mac, t_dram, t_sw, t_mac + t_dram + t_sw, a, *bursts, model)

@@ -36,10 +36,10 @@ is an internal error.
 
 The pairs' winners form a table, one per distinct layer geometry (the layer
 without its name) and time model.  ``tso`` and ``plan_layer`` fill only the
-cells their restriction allows; ``compare_strategies`` fills the whole burst
-and noburst tables once and reduces every column over them.  Geometries are
-searched independently (on one worker unless more are asked for), so
-plans do not depend on the worker count.
+cells their restriction allows; ``compare_strategies`` fills the burst and
+noburst tables from one sweep of every pair and reduces each column over them.
+Geometries are searched independently (on one worker unless more are asked
+for), so plans do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, clip_repr
-from .costmodel import CostBreakdown, TileKind, TimeModel, calc_burst_count, calc_time
+from .costmodel import CostBreakdown, TileKind, TimeModel, calc_burst_count, calc_time, remodel
 from .slicing import (
     Infeasible,
     ScheduleKind,
@@ -152,11 +152,11 @@ def _grid_search(
     arch: ArchConfig,
     slice_: TleSlice,
     q: ScheduleKind,
-    model: TimeModel,
+    models: tuple[TimeModel, ...],
     n_tlt: int,
-) -> _GridResult:
+) -> tuple[_GridResult, ...]:
     """The first strict minimum in (t_r, t_c, t_n) order over every tile
-    that fits, for one partition/schedule pair, pricing one tile per class.
+    that fits, per time model, for one partition/schedule pair.
 
     The scratchpad inequalities gen_tile checks bound the box before any
     cell is priced: a 1x1 tile with one filter caps each axis (mb0 caps t_n,
@@ -179,10 +179,11 @@ def _grid_search(
     priced: ``_walk`` gives each (t_r, t_c) pair's range of depths, and the
     depths inside it are priced in chunks in (t_r, t_c, t_n) order.  Every
     priced cell goes through filter_count, tile_footprint and calc_time
-    exactly as a single tile does, and cells without a filter group or
-    overflowing a scratchpad are masked out.  The feasible count is of the
-    whole box: from the masks when it is priced whole, else the sum of the
-    depth ranges of every pair the walk gives over every side.
+    exactly as a single tile does (remodel prices the other models), and
+    cells without a filter group or overflowing a scratchpad are masked out.
+    The feasible count, shared by the models, is of the whole box: from the
+    masks when it is priced whole, else the sum of the depth ranges of every
+    pair the walk gives over every side.
     """
     n_candidates = slice_.tle_r * conv.c * conv.n
     e, k, s = conv.elem_bytes, conv.k, conv.s
@@ -192,8 +193,9 @@ def _grid_search(
     out_cap = arch.mb2_bytes // e  # one filter's t_r * t_c
     r_hi = _side_cap(arch.mb0_bytes // (e * l_1), k, s, h_pad, min(slice_.tle_r, out_cap))
     c_hi = _side_cap(arch.mb0_bytes // (e * h_1), k, s, l_pad, min(conv.c, out_cap))
+    nothing = (_GridResult(None, np.inf, 0, n_candidates),) * len(models)
     if min(n_hi, r_hi, c_hi) < 1:
-        return _GridResult(None, np.inf, 0, n_candidates)
+        return nothing
 
     by_class = r_hi * c_hi * n_hi > _SMALL_BOX_CELLS
     if by_class:
@@ -202,7 +204,7 @@ def _grid_search(
         t_r, t_c, t_n = (np.arange(1, hi + 1, dtype=np.int64) for hi in (r_hi, c_hi, n_hi))
     t_m = np.broadcast_to(filter_count(t_n, q, slice_.tle_w, n_tlt, conv, arch), t_n.shape)
     if not t_m.any():
-        return _GridResult(None, np.inf, 0, n_candidates)
+        return nothing
 
     if t_r.size * t_c.size * t_n.size <= _CHUNK_CELLS:
         box = (t_r.reshape(-1, 1, 1), t_c.reshape(1, -1, 1))
@@ -210,8 +212,7 @@ def _grid_search(
     else:
         chunks = _walk_cells(_walk(t_r, t_c, t_m, t_n, n_hi, q, conv, arch), t_m, t_n)
 
-    best_val = np.inf
-    best_key: tuple[int, int, int, int] | None = None
+    best: list[tuple[float, tuple[int, int, int, int] | None]] = [(np.inf, None)] * len(models)
     n_feasible = 0
     for m_, n_, r_, c_ in chunks:
         # Cells with no filter group are masked out; pricing them with one
@@ -223,17 +224,18 @@ def _grid_search(
             & (tile.w_bytes <= arch.mb1_bytes)
             & (tile.out_bytes <= arch.mb2_bytes)
         )
-        cost = calc_time(tile, q, conv, slice_, arch, model)
-        t_total = np.where(feasible, cost.t_total, np.inf)
         n_feasible += int(np.count_nonzero(feasible))
-        flat = int(np.argmin(t_total))
-        val = float(t_total.flat[flat])
-        if val < best_val:
-            # Chunks come in (t_r, t_c, t_n) order and a box in C order is
-            # in that order too, so argmin's cell is the first minimum.
-            i, j, l = np.unravel_index(flat, t_total.shape) if t_total.ndim == 3 else [flat] * 3
-            best_val = val
-            best_key = (int(r_.flat[i]), int(c_.flat[j]), int(n_.flat[l]), int(m_.flat[l]))
+        cost = calc_time(tile, q, conv, slice_, arch, models[0])
+        for x, model in enumerate(models):
+            total = remodel(cost, tile, arch, model).t_total if x else cost.t_total
+            t_total = np.where(feasible, total, np.inf)
+            flat = int(np.argmin(t_total))
+            val = float(t_total.flat[flat])
+            if val < best[x][0]:
+                # Chunks come in (t_r, t_c, t_n) order and a box in C order is
+                # in that order too, so argmin's cell is the first minimum.
+                i, j, l = np.unravel_index(flat, t_total.shape) if t_total.ndim == 3 else [flat] * 3
+                best[x] = val, (int(r_.flat[i]), int(c_.flat[j]), int(n_.flat[l]), int(m_.flat[l]))
     if by_class:
         # The masks saw only the first side of each class.  Every side is
         # walked in blocks; the pairs of a t_r are a prefix of t_c, so a
@@ -246,7 +248,7 @@ def _grid_search(
                 if not ranges:
                     break
                 n_feasible += sum(ranges)
-    return _GridResult(best_key, best_val, n_feasible, n_candidates)
+    return tuple(_GridResult(key, val, n_feasible, n_candidates) for val, key in best)
 
 
 def _class_sides(
@@ -379,12 +381,12 @@ class _Cell:
 def _table(
     conv: ConvLayerSpec,
     arch: ArchConfig,
-    model: TimeModel,
+    models: tuple[TimeModel, ...],
     fixed_tle: TlePartitionKind | None = None,
     fixed_tlt: ScheduleKind | None = None,
-) -> tuple[_Cell, ...]:
-    """The cells of the pairs a restriction allows, in canonical order;
-    raises ConfigError for a layer beyond ``_PRODUCT_MAX``."""
+) -> tuple[tuple[_Cell, ...], ...]:
+    """Per time model, the cells of the pairs a restriction allows in canonical
+    order, each pair swept once; raises ConfigError beyond ``_PRODUCT_MAX``."""
     moves = arch.n_tle * conv.m * conv.n * conv.r * conv.c * conv.k * conv.k
     window = conv.n * (conv.h + 2 * conv.p) * (conv.l + 2 * conv.p)
     if max(moves, window) > _PRODUCT_MAX:
@@ -393,37 +395,38 @@ def _table(
             f" n*(h+2p)*(l+2p) = {window} must both be <= 2**61 to be priced exactly in int64"
         )
     schedules = (fixed_tlt,) if fixed_tlt else SCHEDULE_ORDER
-    cells = []
+    pairs = []  # per pair, its cell under each model
     for p in (fixed_tle,) if fixed_tle else PARTITION_ORDER:
         try:
             slice_ = tle_slicing(p, conv, arch.n_tle)
         except Infeasible as exc:
             reason = f"{p.value}: {exc.reason}"
-            cells += [_Cell(p, q, None, reason, 0, 0) for q in schedules]
+            pairs += [[_Cell(p, q, None, reason, 0, 0)] * len(models) for q in schedules]
             continue
         for q in schedules:
-            res = _grid_search(conv, arch, slice_, q, model, arch.n_tlt)
-            entry = reason = None
-            if res.best is None:
-                reason = f"{p.value}/{q.value}: no tile fits the scratchpads"
-            else:
-                t_r, t_c, t_n, t_m = res.best
-                entry = build_entry(conv.name, conv, arch, slice_, q, (t_n, t_r, t_c), model)
-                tile, cost = entry.tile, entry.cost
-                priced = (tile.t_m, cost.t_total, cost.bursts_in, cost.bursts_w, cost.bursts_out)
-                runs = (calc_burst_count(kind, tile, conv, arch) for kind in TileKind)
-                if priced != (t_m, res.best_total, *runs):
-                    raise RuntimeError(
-                        f"internal: grid, scalar and run-enumerated costs disagree for"
-                        f" {conv.name} ({q.value}, t_r={t_r}, t_c={t_c}, t_n={t_n})"
-                    )
-            cells.append(_Cell(p, q, entry, reason, res.n_feasible, res.n_candidates))
-    return tuple(cells)
+            pairs.append([])
+            for model, res in zip(models, _grid_search(conv, arch, slice_, q, models, arch.n_tlt)):
+                entry = reason = None
+                if res.best is None:
+                    reason = f"{p.value}/{q.value}: no tile fits the scratchpads"
+                else:
+                    t_r, t_c, t_n, t_m = res.best
+                    entry = build_entry(conv.name, conv, arch, slice_, q, (t_n, t_r, t_c), model)
+                    tile, cost = entry.tile, entry.cost
+                    bursts = (cost.bursts_in, cost.bursts_w, cost.bursts_out)
+                    runs = (calc_burst_count(kind, tile, conv, arch) for kind in TileKind)
+                    if (tile.t_m, cost.t_total, *bursts) != (t_m, res.best_total, *runs):
+                        raise RuntimeError(
+                            f"internal: grid, scalar and run-enumerated {model} costs disagree"
+                            f" for {conv.name} ({q.value}, t_r={t_r}, t_c={t_c}, t_n={t_n})"
+                        )
+                pairs[-1].append(_Cell(p, q, entry, reason, res.n_feasible, res.n_candidates))
+    return tuple(zip(*pairs))
 
 
 def _reduce(layer: str, cells) -> tuple[PlanEntry | None, list[str], bool]:
     """The first strict minimum over cells in canonical order, the reasons
-    of the cells without a tile, and whether a cell tied the best so far."""
+    of the cells without a tile, and whether a later cell ties the winner."""
     best, attempts, tied = None, [], False
     for cell in cells:
         if cell.entry is None:
@@ -431,7 +434,7 @@ def _reduce(layer: str, cells) -> tuple[PlanEntry | None, list[str], bool]:
             if cell.reason not in attempts:
                 attempts.append(cell.reason)
         elif best is None or cell.entry.cost.t_total < best.cost.t_total:
-            best = cell.entry
+            best, tied = cell.entry, False
         elif cell.entry.cost.t_total == best.cost.t_total:
             tied = True
     return (None if best is None else replace(best, layer=layer)), attempts, tied
@@ -445,7 +448,7 @@ def plan_layer(
     fixed_tlt: ScheduleKind | None = None,
 ) -> PlanEntry:
     """Plan a single layer; raises PlanError when nothing is feasible."""
-    entry, attempts, _ = _reduce(conv.name, _table(conv, arch, model, fixed_tle, fixed_tlt))
+    entry, attempts, _ = _reduce(conv.name, _table(conv, arch, (model,), fixed_tle, fixed_tlt)[0])
     if entry is None:
         raise PlanError([(conv.name, attempts)])
     return entry
@@ -467,7 +470,7 @@ def tso(
     Search statistics count every layer, repeated geometries included.
     """
     tables = _map_geometries(
-        model.layers, lambda conv: _table(conv, arch, mode, fixed_tle, fixed_tlt), workers
+        model.layers, lambda conv: _table(conv, arch, (mode,), fixed_tle, fixed_tlt)[0], workers
     )
     outcomes = [_reduce(conv.name, table) for conv, table in zip(model.layers, tables)]
     failures = [
@@ -541,13 +544,11 @@ def compare_strategies(
     model: ModelSpec, arch: ArchConfig, workers: int | None = None
 ) -> StrategyComparison:
     """The free burst search against the noburst search and every fixed
-    partition and schedule.  Each distinct layer geometry gets one burst and
-    one noburst table (18 sweeps); each column reduces over them as ``tso``
+    partition and schedule.  Each distinct layer geometry gets its burst and
+    noburst tables from 9 sweeps; each column reduces over them as ``tso``
     would under its restriction, and the noburst winner is re-costed."""
     tables = _map_geometries(
-        model.layers,
-        lambda conv: (_table(conv, arch, "burst"), _table(conv, arch, "noburst")),
-        workers,
+        model.layers, lambda conv: _table(conv, arch, ("burst", "noburst")), workers
     )
     cells: dict[str, dict[str, float | None]] = {conv.name: {} for conv in model.layers}
     reasons: dict[tuple[str, str], str] = {}
@@ -559,8 +560,7 @@ def compare_strategies(
                 row[column] = None
                 reasons[(conv.name, column)] = "; ".join(attempts)
             elif column == "tso_noburst":
-                recost = calc_time(entry.tile, entry.schedule, conv, entry.slice, arch, "burst")
-                row[column] = recost.t_total
+                row[column] = remodel(entry.cost, entry.tile, arch, "burst").t_total
             else:
                 row[column] = entry.cost.t_total
 

@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import tsoplan.search
 from tsoplan.configs import INT_MAX, ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, nmp_profile
-from tsoplan.costmodel import calc_time
+from tsoplan.costmodel import calc_time, remodel
 from tsoplan.search import (
     COMPARE_COLUMNS,
     PARTITION_ORDER,
@@ -193,6 +193,45 @@ class TestArrayPricing:
                 priced += len(tiles)
         assert priced > 0
 
+    @pytest.mark.parametrize("kwargs,n_tle,n_tlt,mb,_model", REFEREE_CASES)
+    def test_remodelled_grid_equals_scalar_bit_for_bit(self, kwargs, n_tle, n_tlt, mb, _model):
+        # A grid priced once under one model and remodelled to the other
+        # prices every feasible cell as scalar calc_time does under both.
+        conv = conv_for(**kwargs)
+        arch = arch_for(mb=mb, n_tle=n_tle, n_tlt=n_tlt)
+        priced = 0
+        for p in PARTITION_ORDER:
+            try:
+                slice_ = tle_slicing(p, conv, n_tle)
+            except Infeasible:
+                continue
+            for q in SCHEDULE_ORDER:
+                tiles = []
+                for t_r in range(1, slice_.tle_r + 1):
+                    for t_c in range(1, conv.c + 1):
+                        for t_n in range(1, conv.n + 1):
+                            try:
+                                t_m = get_filters(t_r, t_c, q, slice_.tle_w, n_tlt, t_n, conv, arch)
+                                tiles.append(gen_tile(t_m, t_n, t_r, t_c, q, conv, arch, slice_))
+                            except Infeasible:
+                                continue
+                if not tiles:
+                    continue
+                side = {
+                    name: np.array([getattr(t, name) for t in tiles], dtype=np.int64)
+                    for name in ("t_m", "t_n", "t_r", "t_c")
+                }
+                grid = tile_footprint(side["t_m"], side["t_n"], side["t_r"], side["t_c"], q, conv)
+                for first, other in (("burst", "noburst"), ("noburst", "burst")):
+                    once = calc_time(grid, q, conv, slice_, arch, first)
+                    for mode, costs in ((first, once), (other, remodel(once, grid, arch, other))):
+                        assert costs.mode == mode
+                        for i, tile in enumerate(tiles):
+                            ref = calc_time(tile, q, conv, slice_, arch, mode)
+                            assert _cost_row(costs, i) == _cost_row(ref)
+                priced += len(tiles)
+        assert priced > 0
+
     def test_winner_rebuild_checks_burst_counts(self, monkeypatch):
         # The winner's closed-form burst counts are re-counted over its byte
         # runs; a disagreement is an internal error, never a silent plan.
@@ -204,6 +243,21 @@ class TestArrayPricing:
         )
         with pytest.raises(RuntimeError, match="disagree"):
             plan_layer(conv, arch, "burst")
+
+    def test_winner_check_names_the_remodelled_time_model(self, monkeypatch):
+        # A shared pass whose noburst totals drift from calc_time's is an
+        # internal error naming the noburst model, never a silent table.
+        conv = conv_for(n=3, h=10, l=10, m=8, k=3)
+        arch = arch_for(mb=1024, n_tle=4, n_tlt=2)
+        real = tsoplan.search.remodel
+
+        def drifted(cost, tile, arch, model):
+            out = real(cost, tile, arch, model)
+            return dataclasses.replace(out, t_total=out.t_total * 1.5)
+
+        monkeypatch.setattr(tsoplan.search, "remodel", drifted)
+        with pytest.raises(RuntimeError, match="run-enumerated noburst costs disagree"):
+            compare_strategies(ModelSpec(name="m", layers=(conv,)), arch, workers=1)
 
 
 class TestWholeLayerResidency:
@@ -280,6 +334,25 @@ class TestDeterminismAndOrdering:
         plan = tso(model, arch)
         assert plan.stats.tie_layers == ("t",)
         assert plan.entries["t"].slice.kind is TlePartitionKind.KS
+
+    def test_a_tie_broken_by_a_later_cheaper_pair_is_not_flagged(self):
+        # ks/is and ks/os tie exactly, but ofm/ws is strictly cheaper and
+        # wins alone, so the layer has no tie.
+        conv = ConvLayerSpec(
+            name="d122", n=59, h=31, l=31, m=1, k=5, s=1, p=0, r=27, c=27, elem_bytes=2
+        )
+        arch = nmp_profile()
+        (table,) = tsoplan.search._table(conv, arch, ("burst",))
+        totals = {(c.partition, c.schedule): c.entry.cost.t_total for c in table}
+        assert totals[(TlePartitionKind.KS, ScheduleKind.IS)] == totals[
+            (TlePartitionKind.KS, ScheduleKind.OS)
+        ]
+        assert min(totals.values()) == totals[(TlePartitionKind.OFM, ScheduleKind.WS)]
+        assert list(totals.values()).count(min(totals.values())) == 1
+        plan = tso(ModelSpec(name="m", layers=(conv,)), arch)
+        assert plan.stats.tie_layers == ()
+        assert plan.entries["d122"].slice.kind is TlePartitionKind.OFM
+        assert plan.entries["d122"].schedule is ScheduleKind.WS
 
     def test_restrictions_never_beat_the_free_search(self):
         arch = nmp_profile()
@@ -409,14 +482,15 @@ class TestSweepCounts:
         ),
     )
 
-    def test_compare_sweeps_18_per_geometry(self, sweeps):
+    def test_compare_sweeps_9_per_geometry(self, sweeps):
+        # One sweep of each pair prices both time models.
         compare_strategies(self.MODEL, arch_for(n_tle=4), workers=1)
-        assert len(sweeps) == 18 * 2
+        assert len(sweeps) == 9 * 2
 
     def test_compare_skips_the_unsplittable_partition(self, sweeps):
-        # KS_OFM needs an even TLE count: 6 pairs per time model remain.
+        # KS_OFM needs an even TLE count: 6 pairs remain.
         compare_strategies(self.MODEL, arch_for(n_tle=3), workers=1)
-        assert len(sweeps) == 12 * 2
+        assert len(sweeps) == 6 * 2
 
     def test_tso_sweeps_9_per_geometry(self, sweeps):
         tso(self.MODEL, arch_for(n_tle=4), workers=2)
@@ -542,15 +616,26 @@ SEARCH_PATHS = {
 }
 
 
+BOTH_MODELS = ("burst", "noburst")
+
+
 def grid_results(conv, arch, slice_, q, model):
-    """_grid_search's result on every search path."""
+    """_grid_search's result for ``model`` on every search path, alone and
+    from one pass shared by both time models.  The shared pass's result for
+    the other model must be the plain loop's for that model."""
+    mine = BOTH_MODELS.index(model)
+    other, _ = plain_grid(conv, arch, slice_, q, BOTH_MODELS[1 - mine])
     results = {}
     for name, constants in SEARCH_PATHS.items():
         with pytest.MonkeyPatch.context() as mp:
             for constant, value in constants.items():
                 mp.setattr(tsoplan.search, constant, value)
-            res = tsoplan.search._grid_search(conv, arch, slice_, q, model, arch.n_tlt)
-        results[name] = (res.best, res.best_total, res.n_feasible, res.n_candidates)
+            (alone,) = tsoplan.search._grid_search(conv, arch, slice_, q, (model,), arch.n_tlt)
+            shared = tsoplan.search._grid_search(conv, arch, slice_, q, BOTH_MODELS, arch.n_tlt)
+        rows = [(res.best, res.best_total, res.n_feasible, res.n_candidates) for res in shared]
+        assert rows[1 - mine] == other, name
+        results[name] = (alone.best, alone.best_total, alone.n_feasible, alone.n_candidates)
+        results[name + "/shared"] = rows[mine]
     return results
 
 
@@ -678,9 +763,9 @@ class TestPricedCells:
             return real_calc(tile, *args)
 
         def counted_grid(*args):
-            res = real_grid(*args)
-            feasible.append(res.n_feasible)
-            return res
+            results = real_grid(*args)
+            feasible.append(results[0].n_feasible)  # one time model here
+            return results
 
         monkeypatch.setattr(tsoplan.search, "calc_time", counted_calc)
         monkeypatch.setattr(tsoplan.search, "_grid_search", counted_grid)
@@ -764,7 +849,7 @@ class TestCountMemory:
         slice_ = tle_slicing(TlePartitionKind.KS, conv, 1)
         tracemalloc.start()
         try:
-            res = tsoplan.search._grid_search(conv, arch, slice_, ScheduleKind.OS, "burst", 1)
+            (res,) = tsoplan.search._grid_search(conv, arch, slice_, ScheduleKind.OS, ("burst",), 1)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
