@@ -6,12 +6,14 @@ and stores, and a fixed software overhead per transfer.  Compute and
 transfers do not overlap in this device, so the parts add.
 
 Transfers are charged per tile kind: how often a tile of each kind moves
-(the alpha factors) times how long one such move takes.  In the burst time
-model a move pays one CAS latency per DRAM burst it touches plus the tile's
-bytes over the peak bandwidth; in the noburst model only the bandwidth term
-remains; only this DRAM term depends on the time model.  Burst counts come
-from decomposing the tile's footprint into maximal contiguous byte runs of
-the row-major source tensor.
+(the alpha factors) times how long one such move takes.  :func:`move_times`
+is the one place that product is formed, for the layer total and the plan
+table's load and store shares alike.  In the burst time model a move pays
+one CAS latency per DRAM burst it touches plus the tile's bytes over the
+peak bandwidth; in the noburst model only the bandwidth term remains; only
+this DRAM term depends on the time model.  Burst counts come from
+decomposing the tile's footprint into maximal contiguous byte runs of the
+row-major source tensor.
 
 Every formula here takes plain ints for one tile or numpy arrays for a grid
 of candidate tiles; the search prices its grids through these same
@@ -252,15 +254,23 @@ def calc_time(
     return remodel(cost, tile, arch, model)
 
 
+def move_times(cost: CostBreakdown, tile: TileConfig, arch: ArchConfig, model: TimeModel):
+    """Seconds of all IN, W and OUT moves of ``tile`` under ``model``: each
+    kind's move count times one move's transfer time, elementwise over
+    array tiles."""
+    a = cost.alphas
+    return (
+        a.a_in * transfer_time(cost.bursts_in, tile.in_bytes, arch, model),
+        a.a_w * transfer_time(cost.bursts_w, tile.w_bytes, arch, model),
+        a.a_out * transfer_time(cost.bursts_out, tile.out_bytes, arch, model),
+    )
+
+
 def remodel(cost: CostBreakdown, tile: TileConfig, arch: ArchConfig, model: TimeModel):
     """``cost`` of ``tile`` with the DRAM term and total under ``model``, the
     only terms a time model changes.  calc_time builds its own here, so this
     is calc_time under ``model`` bit for bit, elementwise over array tiles."""
-    a, t_mac, t_sw = cost.alphas, cost.t_mac, cost.t_sw
-    t_dram = (
-        a.a_in * transfer_time(cost.bursts_in, tile.in_bytes, arch, model)
-        + a.a_w * transfer_time(cost.bursts_w, tile.w_bytes, arch, model)
-        + a.a_out * transfer_time(cost.bursts_out, tile.out_bytes, arch, model)
-    )
+    t_in, t_w, t_out = move_times(cost, tile, arch, model)
+    t_mac, t_dram, t_sw = cost.t_mac, t_in + t_w + t_out, cost.t_sw
     bursts = (cost.bursts_in, cost.bursts_w, cost.bursts_out)
-    return CostBreakdown(t_mac, t_dram, t_sw, t_mac + t_dram + t_sw, a, *bursts, model)
+    return CostBreakdown(t_mac, t_dram, t_sw, t_mac + t_dram + t_sw, cost.alphas, *bursts, model)

@@ -1,4 +1,5 @@
-"""Plan serialization and derived reports (breakdown, roofline, CSV).
+"""Plan serialization and derived reports (plan table with its time shares,
+roofline, CSV).
 
 The plan JSON stores everything needed to re-audit a plan against a model
 and architecture file: the chosen partition, schedule, and tile shape per
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field, fields
 from enum import Enum
 
 from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, clip_repr, read_fields
-from .costmodel import transfer_time
+from .costmodel import move_times
 from .search import PlanEntry, PlanMap, StrategyComparison
 from .slicing import ScheduleKind, TlePartitionKind
 
@@ -126,49 +127,6 @@ def plan_from_json_dict(data: object) -> PlanDoc:
         for i, raw in enumerate(doc["entries"])
     )
     return PlanDoc(**{**doc, "entries": entries})
-
-
-@dataclass(frozen=True)
-class BreakdownRow:
-    """Load/store/compute split of one planned layer.
-
-    Launch overhead is folded into the load and store phases (by their move
-    counts), so the three parts sum to the layer total and the percentages
-    to 100 when measured against the layer's own total.
-    """
-
-    layer: str
-    load_s: float
-    store_s: float
-    mac_s: float
-    pct_load: float
-    pct_store: float
-    pct_mac: float
-
-
-def breakdown_rows(plan: PlanMap, arch: ArchConfig) -> list[BreakdownRow]:
-    rows = []
-    for name, entry in plan.entries.items():
-        cost = entry.cost
-        tile = entry.tile
-        x_in = transfer_time(cost.bursts_in, tile.in_bytes, arch, cost.mode)
-        x_w = transfer_time(cost.bursts_w, tile.w_bytes, arch, cost.mode)
-        x_out = transfer_time(cost.bursts_out, tile.out_bytes, arch, cost.mode)
-        a = cost.alphas
-        load = a.a_in * x_in + a.a_w * x_w + (a.a_in + a.a_w) * arch.sw_overhead_s
-        store = a.a_out * x_out + a.a_out * arch.sw_overhead_s
-        rows.append(
-            BreakdownRow(
-                layer=name,
-                load_s=load,
-                store_s=store,
-                mac_s=cost.t_mac,
-                pct_load=100.0 * load / cost.t_total,
-                pct_store=100.0 * store / cost.t_total,
-                pct_mac=100.0 * cost.t_mac / cost.t_total,
-            )
-        )
-    return rows
 
 
 @dataclass(frozen=True)
@@ -291,10 +249,16 @@ def plan_table(plan: PlanMap, arch: ArchConfig) -> str:
         "%mac",
     )
     rows = [header]
-    breakdown = {row.layer: row for row in breakdown_rows(plan, arch)}
     for name, entry in plan.entries.items():
         doc = entry_doc(entry)
-        split = breakdown[name]
+        cost = entry.cost
+        a = cost.alphas
+        t_in, t_w, t_out = move_times(cost, entry.tile, arch, cost.mode)
+        # Launch overhead joins loads and stores by their move counts, so the
+        # three shares sum to 100 of the layer's own total.
+        load = t_in + t_w + (a.a_in + a.a_w) * arch.sw_overhead_s
+        store = t_out + a.a_out * arch.sw_overhead_s
+        shares = (100.0 * t / cost.t_total for t in (load, store, cost.t_mac))
         rows.append(
             (
                 name,
@@ -302,7 +266,7 @@ def plan_table(plan: PlanMap, arch: ArchConfig) -> str:
                 doc.schedule.value,
                 *(str(side) for side in (doc.t_m, doc.t_n, doc.t_r, doc.t_c)),
                 *(f"{t:.3f}" for t in (doc.t_mac_us, doc.t_dram_us, doc.t_sw_us, doc.t_total_us)),
-                *(f"{pct:.1f}" for pct in (split.pct_load, split.pct_store, split.pct_mac)),
+                *(f"{pct:.1f}" for pct in shares),
             )
         )
     total = sum(entry.cost.t_total for entry in plan.entries.values())

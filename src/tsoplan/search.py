@@ -448,10 +448,7 @@ def plan_layer(
     fixed_tlt: ScheduleKind | None = None,
 ) -> PlanEntry:
     """Plan a single layer; raises PlanError when nothing is feasible."""
-    entry, attempts, _ = _reduce(conv.name, _table(conv, arch, (model,), fixed_tle, fixed_tlt)[0])
-    if entry is None:
-        raise PlanError([(conv.name, attempts)])
-    return entry
+    return tso(ModelSpec(conv.name, (conv,)), arch, model, fixed_tle, fixed_tlt).entries[conv.name]
 
 
 def tso(

@@ -1,6 +1,7 @@
 """Config parsing, validation, and serialization."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -188,6 +189,12 @@ def test_nmp_profile_values():
     assert arch.bw_bytes_per_s == 17e9
     assert arch.burst_bytes == 128
     assert arch.cas_s == 14.0 * 1e-9
+
+
+def test_sample_arch_is_the_default_profile():
+    # The CLI samples and the library tests plan on the same default NPU.
+    sample = Path(__file__).resolve().parents[1] / "samples" / "nmp_arch.json"
+    assert parse_arch(sample.read_text(encoding="utf-8")) == nmp_profile()
 
 
 def test_macs_per_cycle_by_element_width():

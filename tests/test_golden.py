@@ -1,16 +1,19 @@
-"""Golden outputs: the sha256 of the plan JSON and the compare CSV of the
-samples, and of the simulate report (and transfer trace) of their plans.
+"""Golden outputs: the sha256 of the plan JSON, the compare CSV and the
+roofline CSV of the samples, of the plan table that ``plan`` prints, and of
+the simulate report (and transfer trace) of their plans.
 
 A plan or a comparison may only change with a change to the cost model or
 the search that says so; such a change updates these digests with it.
 """
 
 import hashlib
+import json
 from pathlib import Path
 
 import pytest
 
 from tsoplan.cli import main
+from tsoplan.configs import arch_to_json_dict, nmp_profile
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -27,6 +30,10 @@ GOLDEN = {
         "8dc54ac71d3718922d3a225152323fc13f5ce923b93f4207e7f9fcc6f4f74f6a",
     ("inceptionv3", "compare", None):
         "007772cd795568df623a7f4d4f064c54a8d37b059ffeb45952ff8dd67c9c883e",
+    ("toy_model", "roofline", None):
+        "918858788a921b33b4cc252985bf3bb4755f718a406071991771e30ddfa89033",
+    ("inceptionv3", "roofline", None):
+        "11b601a5ded129ffaac716d9918e89c0a89de612426af898ccfb1eb54078890d",
 }
 
 
@@ -40,6 +47,35 @@ def test_output_digest(sample, command, mode, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[sample, command, mode]
+
+
+# plan stdout (the plan table) by sample, time model and launch overhead;
+# only a non-zero overhead gives the load and store shares a launch part.
+PLAN_TABLE_GOLDEN = {
+    ("toy_model", "burst", 0.0):
+        "fc61f6f570da870285c6f3cbb9df97b7450530195b9dd850e02b7bcb402dbd9c",
+    ("toy_model", "noburst", 0.0):
+        "844984010fa57bf2f8170bc5fa6af43cb4ee4e1d028031f94d0d80bc4a9c4e7e",
+    ("inceptionv3", "burst", 0.0):
+        "b5949a2ae20aec123f89495e92c70665528940319f6e4d79a458fd6c48fbd290",
+    ("inceptionv3", "noburst", 0.0):
+        "7d3f21dc21a718c078d7427a98e03eaff6bcb886f1622f5e38284830b63423d1",
+    ("inceptionv3", "burst", 37.5):
+        "abc4bbb61f91c7c0a391ea24f4dc7b804e980032bf3486f35772f0deef056878",
+}
+
+
+@pytest.mark.parametrize("sample,mode,sw_ns", sorted(PLAN_TABLE_GOLDEN))
+def test_plan_table_digest(sample, mode, sw_ns, tmp_path, capsys):
+    arch = SAMPLES / "nmp_arch.json"
+    if sw_ns:
+        arch = tmp_path / "arch.json"
+        arch.write_text(json.dumps({**arch_to_json_dict(nmp_profile()), "sw_overhead_ns": sw_ns}))
+    argv = ["plan", "--model", str(SAMPLES / f"{sample}.json"), "--arch", str(arch),
+            "--threads", "1", "--mode", mode]
+    assert main(argv) == 0
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PLAN_TABLE_GOLDEN[sample, mode, sw_ns]
 
 
 # simulate stdout and --dump-trace file; the trace is only taken on the toy

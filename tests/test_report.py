@@ -1,4 +1,4 @@
-"""Plan serialization, phase breakdowns, roofline points, and CSV/table output."""
+"""Plan serialization, plan table shares, roofline points, and CSV/table output."""
 
 import json
 from dataclasses import fields
@@ -7,9 +7,9 @@ import pytest
 
 from tsoplan.cli import main
 from tsoplan.configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, nmp_profile
+from tsoplan.costmodel import move_times
 from tsoplan.report import (
     PlanEntryDoc,
-    breakdown_rows,
     compare_csv,
     format_us,
     plan_from_json_dict,
@@ -219,23 +219,24 @@ class TestPlanJson:
                    for line in lines)
 
 
-class TestBreakdown:
-    def test_parts_sum_to_layer_total_without_launch_overhead(self):
-        model = ModelSpec(name="m", layers=(conv_for(),))
-        arch = arch_for()
-        plan = tso(model, arch)
-        row = breakdown_rows(plan, arch)[0]
-        assert row.load_s + row.store_s + row.mac_s == plan.entries["t"].cost.t_total
-        assert row.pct_load + row.pct_store + row.pct_mac == pytest.approx(100.0)
+class TestPlanTableShares:
+    @pytest.mark.parametrize("sw_ns", [0.0, 50.0])
+    def test_shares_sum_to_100_per_row(self, sw_ns):
+        # Launch overhead joins the load and store shares, so %load, %store
+        # and %mac cover the layer total up to their one-decimal rounding.
+        model = random_toy_model(8, n_layers=6)
+        arch = arch_for(sw_ns=sw_ns)
+        rows = plan_table(tso(model, arch), arch).splitlines()[1:-1]
+        assert len(rows) == len(model.layers)
+        for row in rows:
+            assert sum(float(pct) for pct in row.split()[-3:]) == pytest.approx(100.0, abs=0.15)
 
-    def test_parts_sum_with_launch_overhead(self):
-        model = ModelSpec(name="m", layers=(conv_for(),))
+    @pytest.mark.parametrize("mode", ["burst", "noburst"])
+    def test_move_times_sum_to_the_dram_term(self, mode):
+        model = random_toy_model(8, n_layers=6)
         arch = arch_for(sw_ns=50.0)
-        plan = tso(model, arch)
-        row = breakdown_rows(plan, arch)[0]
-        total = plan.entries["t"].cost.t_total
-        assert row.load_s + row.store_s + row.mac_s == pytest.approx(total, rel=1e-12)
-        assert row.pct_load + row.pct_store + row.pct_mac == pytest.approx(100.0)
+        for entry in tso(model, arch, mode).entries.values():
+            assert sum(move_times(entry.cost, entry.tile, arch, mode)) == entry.cost.t_dram
 
 
 class TestRoofline:

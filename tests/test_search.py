@@ -10,7 +10,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import tsoplan.search
 from tsoplan.configs import INT_MAX, ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, nmp_profile
-from tsoplan.costmodel import calc_time, remodel
+from tsoplan.costmodel import calc_time, move_times, remodel
 from tsoplan.search import (
     COMPARE_COLUMNS,
     PARTITION_ORDER,
@@ -226,6 +226,8 @@ class TestArrayPricing:
                     once = calc_time(grid, q, conv, slice_, arch, first)
                     for mode, costs in ((first, once), (other, remodel(once, grid, arch, other))):
                         assert costs.mode == mode
+                        moved = sum(move_times(once, grid, arch, mode))
+                        assert moved.tobytes() == costs.t_dram.tobytes()
                         for i, tile in enumerate(tiles):
                             ref = calc_time(tile, q, conv, slice_, arch, mode)
                             assert _cost_row(costs, i) == _cost_row(ref)
