@@ -148,43 +148,36 @@ def simulate_schedule(
 def count_bursts_exact(trace: TransferTrace, arch: ArchConfig) -> dict[TileKind, BurstTotals]:
     """Exhaustive per-byte burst enumeration over a trace.
 
-    Rebuilds every event's touched byte set straight from its box (ignoring
-    the precomputed runs), splits it into maximal contiguous intervals, and
-    counts burst-aligned blocks per interval.  Quadratically slower than the
-    closed forms and proud of it; intended for toy-scale validation.
+    Walks every byte of each event's box clipped to the map straight from
+    its origin and extent (ignoring the precomputed runs), in plane, row,
+    column, byte order.  Addresses strictly increase along that walk because
+    every clipped index range ascends inside the map, so one pass splits the
+    bytes into maximal contiguous runs and counts each run's burst-aligned
+    blocks.  Linear in the bytes it walks; intended for toy-scale validation.
     """
     burst = arch.burst_bytes
     aligned = {kind: 0 for kind in TileKind}
     address_aware = {kind: 0 for kind in TileKind}
     for event in trace.events:
-        d0, d1, d2 = event.map_dims
-        e = event.elem_bytes
-        touched: set[int] = set()
-        for i in range(event.extent[0]):
-            ci = event.origin[0] + i
-            if not 0 <= ci < d0:
-                continue
-            for j in range(event.extent[1]):
-                cj = event.origin[1] + j
-                if not 0 <= cj < d1:
-                    continue
-                for k in range(event.extent[2]):
-                    ck = event.origin[2] + k
-                    if not 0 <= ck < d2:
-                        continue
-                    base = ((ci * d1 + cj) * d2 + ck) * e
-                    touched.update(range(base, base + e))
-        ordered = sorted(touched)
-        idx = 0
-        while idx < len(ordered):
-            end = idx
-            while end + 1 < len(ordered) and ordered[end + 1] == ordered[end] + 1:
-                end += 1
-            start_byte = ordered[idx]
-            length = ordered[end] - start_byte + 1
-            aligned[event.kind] += ceil_div(length, burst)
-            address_aware[event.kind] += len({b // burst for b in range(start_byte, start_byte + length)})
-            idx = end + 1
+        (d0, d1, d2), e = event.map_dims, event.elem_bytes
+        (o0, o1, o2), (x0, x1, x2) = event.origin, event.extent
+        lo2, hi2 = max(o2, 0), min(o2 + x2, d2)
+        n_aligned = n_blocks = 0
+        start, last, block = -1, -2, -1  # an empty run before the first byte
+        for ci in range(max(o0, 0), min(o0 + x0, d0)):
+            for cj in range(max(o1, 0), min(o1 + x1, d1)):
+                row = (ci * d1 + cj) * d2
+                # The row's columns, byte by byte.
+                for b in range((row + lo2) * e, (row + hi2) * e):
+                    if b != last + 1:
+                        n_aligned += ceil_div(last + 1 - start, burst)
+                        start, block = b, -1
+                    if b // burst != block:
+                        block = b // burst
+                        n_blocks += 1
+                    last = b
+        aligned[event.kind] += n_aligned + ceil_div(last + 1 - start, burst)
+        address_aware[event.kind] += n_blocks
     return {
         kind: BurstTotals(aligned=aligned[kind], address_aware=address_aware[kind])
         for kind in TileKind

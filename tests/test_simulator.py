@@ -1,13 +1,15 @@
 """Event-level schedule replay: origins, store coverage, and burst totals."""
 
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from tsoplan.configs import ArchConfig, ConvLayerSpec
 from tsoplan.costmodel import TileKind, calc_burst_count, compute_alphas
-from tsoplan.simulator import count_bursts_exact, simulate_schedule
+from tsoplan.simulator import TransferEvent, TransferTrace, count_bursts_exact, simulate_schedule
 from tsoplan.slicing import (
     ScheduleKind,
     TlePartitionKind,
@@ -202,6 +204,65 @@ class TestBurstTotals:
         conv, arch, slice_, tile = self.build(q)
         trace = simulate_schedule(q, conv, slice_, tile, arch, count_bursts=True)
         assert trace.total_bursts == count_bursts_exact(trace, arch)
+
+
+@st.composite
+def box_traces(draw):
+    """One or two boxes of one kind on one map, clipped on any side, runs=()."""
+    dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
+    e = draw(st.sampled_from((1, 2)))
+    kind = draw(st.sampled_from(list(TileKind)))
+    events = [
+        TransferEvent(
+            kind, 0,
+            tuple(draw(st.integers(-3, d + 1)) for d in dims),
+            tuple(draw(st.integers(1, 8)) for _ in dims),
+            dims, e, runs=(),
+        )
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+    return TransferTrace(events, 0, 0, 0)
+
+
+def interval_bursts(event, burst):
+    """Split the event's touched byte set into maximal intervals and count each."""
+    d0, d1, d2 = event.map_dims
+    e = event.elem_bytes
+    touched = set()
+    for ci, cj, ck in product(*(range(o, o + x) for o, x in zip(event.origin, event.extent))):
+        if 0 <= ci < d0 and 0 <= cj < d1 and 0 <= ck < d2:
+            base = ((ci * d1 + cj) * d2 + ck) * e
+            touched.update(range(base, base + e))
+    aligned = address_aware = 0
+    for start in (b for b in touched if b - 1 not in touched):
+        end = start
+        while end + 1 in touched:
+            end += 1
+        aligned += ceil_div(end + 1 - start, burst)
+        address_aware += len({b // burst for b in range(start, end + 1)})
+    return aligned, address_aware
+
+
+# Two 4-byte boxes that abut in memory: each event is its own run, so they
+# cost two bursts, not the one a run merged across events would.
+ABUTTING = TransferTrace(
+    [TransferEvent(TileKind.IN, 0, (0, 0, c), (1, 1, 2), (1, 1, 4), 2, runs=()) for c in (0, 2)],
+    0, 0, 0,
+)
+
+
+@given(trace=box_traces(), burst=st.sampled_from([2**i for i in range(8)]))
+@example(trace=ABUTTING, burst=8)
+@settings(max_examples=300, deadline=None)
+def test_exact_counts_match_the_touched_byte_intervals(trace, burst):
+    # Bursts of 1-128 B and 1- or 2-byte elements, which criterion 4 and
+    # TestBurstTotals (2-byte elements, 32 B bursts) never reach.
+    exact = count_bursts_exact(trace, arch_for(burst=burst))
+    for kind in TileKind:
+        counts = [interval_bursts(ev, burst) for ev in trace.events if ev.kind is kind]
+        aligned = sum(a for a, _ in counts)
+        address_aware = sum(b for _, b in counts)
+        assert (exact[kind].aligned, exact[kind].address_aware) == (aligned, address_aware)
 
 
 # sha256 of each replay's event list on conv_for(n=3, h=9, l=7, m=6, k=3, s=2,
