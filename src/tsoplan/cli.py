@@ -50,19 +50,23 @@ def _add_io_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--arch", required=True, help="architecture JSON file")
 
 
+def _add_threads_arg(sub: argparse.ArgumentParser) -> None:
+    # Kept because scripts pass it (the bench runs plan at --threads nproc).
+    sub.add_argument(
+        "--threads",
+        type=int,
+        default=None,
+        metavar="N",
+        help="accepted and checked (N >= 1); the search runs one layer geometry at a time",
+    )
+
+
 def _add_search_args(sub: argparse.ArgumentParser) -> None:
     sub.add_argument(
         "--mode",
         choices=("burst", "noburst"),
         default="burst",
         help="DRAM time model used by the search (default burst)",
-    )
-    sub.add_argument(
-        "--threads",
-        type=int,
-        default=None,
-        metavar="N",
-        help="layer-level worker threads (default 1)",
     )
     sub.add_argument(
         "--fixed-tle",
@@ -85,18 +89,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_plan = subs.add_parser("plan", parents=[], help="search a model and emit a plan")
     _add_io_args(p_plan)
     _add_search_args(p_plan)
+    _add_threads_arg(p_plan)
     p_plan.add_argument("--out", default=None, metavar="PATH", help="write the plan JSON here")
 
     p_cmp = subs.add_parser("compare", help="compare the search against fixed strategies")
     _add_io_args(p_cmp)
-    p_cmp.add_argument(
-        "--threads", type=int, default=None, metavar="N", help="worker threads (default 1)"
-    )
+    _add_threads_arg(p_cmp)
     p_cmp.add_argument("--out", default=None, metavar="PATH", help="write the CSV here")
 
     p_roof = subs.add_parser("roofline", help="per-layer roofline data for a searched plan")
     _add_io_args(p_roof)
     _add_search_args(p_roof)
+    _add_threads_arg(p_roof)
     p_roof.add_argument("--out", default=None, metavar="PATH", help="write the CSV here")
 
     p_sim = subs.add_parser("simulate", help="replay a plan and verify its counts")

@@ -38,13 +38,12 @@ The pairs' winners form a table, one per distinct layer geometry (the layer
 without its name) and time model.  ``tso`` and ``plan_layer`` fill only the
 cells their restriction allows; ``compare_strategies`` fills the burst and
 noburst tables from one sweep of every pair and reduces each column over them.
-Geometries are searched independently (on one worker unless more are asked
-for), so plans do not depend on the worker count.
+Geometries are searched one at a time on the calling thread: a thread pool
+over them was slower than one thread on every bench workload.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -461,13 +460,12 @@ def tso(
 ) -> PlanMap:
     """Plan every layer of a model.
 
-    Each distinct layer geometry is searched once; workers (one if None)
-    caps how many are searched in parallel, and the plan is identical for
-    any count.
+    Each distinct layer geometry is searched once, on the calling thread.
+    ``workers`` is not read; it is kept because the bench scripts pass it.
     Search statistics count every layer, repeated geometries included.
     """
     tables = _map_geometries(
-        model.layers, lambda conv: _table(conv, arch, (mode,), fixed_tle, fixed_tlt)[0], workers
+        model.layers, lambda conv: _table(conv, arch, (mode,), fixed_tle, fixed_tlt)[0]
     )
     outcomes = [_reduce(conv.name, table) for conv, table in zip(model.layers, tables)]
     failures = [
@@ -487,20 +485,15 @@ def tso(
     return PlanMap(model_name=model.name, mode=mode, entries=entries, stats=stats)
 
 
-def _map_geometries(layers, fn, workers: int | None) -> list:
-    """fn of every layer, called on up to ``workers`` threads (one if None)
-    once per distinct geometry (the layer without its name)."""
-    first: dict[ConvLayerSpec, ConvLayerSpec] = {}
+def _map_geometries(layers, fn) -> list:
+    """fn of every layer, called once per distinct geometry (the layer
+    without its name), in first-seen order on the calling thread."""
+    results: dict[ConvLayerSpec, object] = {}
     for conv in layers:
-        first.setdefault(replace(conv, name=""), conv)
-    distinct = list(first.values())
-    if workers is None or workers <= 1 or len(distinct) <= 1:
-        results = [fn(conv) for conv in distinct]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(fn, distinct))
-    by_geometry = dict(zip(first, results))
-    return [by_geometry[replace(conv, name="")] for conv in layers]
+        geometry = replace(conv, name="")
+        if geometry not in results:
+            results[geometry] = fn(conv)
+    return [results[replace(conv, name="")] for conv in layers]
 
 
 COMPARE_COLUMNS = ("tso_burst", "tso_noburst") + tuple(
@@ -543,10 +536,9 @@ def compare_strategies(
     """The free burst search against the noburst search and every fixed
     partition and schedule.  Each distinct layer geometry gets its burst and
     noburst tables from 9 sweeps; each column reduces over them as ``tso``
-    would under its restriction, and the noburst winner is re-costed."""
-    tables = _map_geometries(
-        model.layers, lambda conv: _table(conv, arch, ("burst", "noburst")), workers
-    )
+    would under its restriction, and the noburst winner is re-costed.
+    ``workers`` is not read, as in ``tso``."""
+    tables = _map_geometries(model.layers, lambda conv: _table(conv, arch, ("burst", "noburst")))
     cells: dict[str, dict[str, float | None]] = {conv.name: {} for conv in model.layers}
     reasons: dict[tuple[str, str], str] = {}
     for conv, (burst, noburst) in zip(model.layers, tables):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import threading
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 import tsoplan.search
+from tsoplan.cli import main
 from tsoplan.configs import INT_MAX, ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, nmp_profile
 from tsoplan.costmodel import calc_time, move_times, remodel
 from tsoplan.search import (
@@ -327,6 +329,23 @@ class TestDeterminismAndOrdering:
         threaded = tso(model, arch, workers=4)
         assert sequential.entries == threaded.entries
         assert sequential.stats.candidates_evaluated == threaded.stats.candidates_evaluated
+
+    def test_no_thread_is_started_for_any_worker_count(self, monkeypatch, write_configs, tmp_path):
+        model = random_toy_model(7, n_layers=4)
+        arch = arch_for(n_tle=2, n_tlt=2)
+        assert len({dataclasses.replace(conv, name="") for conv in model.layers}) >= 2
+        model_path, arch_path = write_configs(model, arch)
+
+        def refuse(thread):
+            raise AssertionError(f"the search started thread {thread.name}")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        tso(model, arch, workers=4)
+        compare_strategies(model, arch, workers=4)
+        out = tmp_path / "plan.json"
+        argv = ["--model", model_path, "--arch", arch_path, "--threads", "8", "--out", str(out)]
+        assert main(["plan", *argv]) == 0
+        assert out.read_bytes()
 
     def test_single_cluster_ties_are_flagged_and_first_wins(self):
         # With one TLE the KS and OFM slices are the same shape, so their
