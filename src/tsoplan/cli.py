@@ -234,10 +234,9 @@ def cmd_simulate(args) -> int:
         )
         if trace_lines is not None:
             for event in trace.events:
-                nbytes = sum(length for _, length in event.runs)
                 trace_lines.append(
                     f"{stored.layer} tle={event.tle} {event.kind.value}"
-                    f" origin={event.origin} extent={event.extent} bytes={nbytes}"
+                    f" origin={event.origin} extent={event.extent} bytes={event.nbytes}"
                 )
         if problems:
             failures += 1

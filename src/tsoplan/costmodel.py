@@ -112,6 +112,19 @@ def conv_mac_time(tile: TileConfig, conv: ConvLayerSpec, arch: ArchConfig) -> fl
     return n_tiles * tile_mac_time(tile, conv, arch) / (arch.n_tle * arch.n_tlt)
 
 
+def clip_box(
+    map_dims: tuple[int, int, int], origin: tuple[int, int, int], extent: tuple[int, int, int]
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Lower corner and sides of a box clipped to a map; sides are >= 0.
+
+    Origins may be negative (padding) and extents may overhang the map.
+    """
+    (d0, d1, d2), (o0, o1, o2), (x0, x1, x2) = map_dims, origin, extent
+    lo = (max(o0, 0), max(o1, 0), max(o2, 0))
+    hi = (min(o0 + x0, d0), min(o1 + x1, d1), min(o2 + x2, d2))
+    return lo, (max(hi[0] - lo[0], 0), max(hi[1] - lo[1], 0), max(hi[2] - lo[2], 0))
+
+
 def box_runs(
     map_dims: tuple[int, int, int],
     origin: tuple[int, int, int],
@@ -124,25 +137,19 @@ def box_runs(
     (padding) or extents may overhang.  Returns (start_byte, len_bytes)
     pairs in increasing address order; adjacent runs are merged.
     """
-    d0, d1, d2 = map_dims
-    lo = [max(o, 0) for o in origin]
-    hi = [
-        min(origin[0] + extent[0], d0),
-        min(origin[1] + extent[1], d1),
-        min(origin[2] + extent[2], d2),
-    ]
-    e0, e1, e2 = hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]
-    if e0 <= 0 or e1 <= 0 or e2 <= 0:
+    _, d1, d2 = map_dims
+    (l0, l1, l2), (e0, e1, e2) = clip_box(map_dims, origin, extent)
+    if not (e0 and e1 and e2):
         return []
     # Rows merge only when they span the last dimension, planes only when
     # they also span the middle one.
-    planes = range(lo[0], hi[0])
+    planes = range(l0, l0 + e0)
     if e2 < d2:
-        runs = [((i * d1 + j) * d2 + lo[2], e2) for i in planes for j in range(lo[1], hi[1])]
+        runs = [((i * d1 + j) * d2 + l2, e2) for i in planes for j in range(l1, l1 + e1)]
     elif e1 < d1:
-        runs = [((i * d1 + lo[1]) * d2, e1 * d2) for i in planes]
+        runs = [((i * d1 + l1) * d2, e1 * d2) for i in planes]
     else:
-        runs = [(lo[0] * d1 * d2, e0 * d1 * d2)]
+        runs = [(l0 * d1 * d2, e0 * d1 * d2)]
     return [(start * elem_bytes, n * elem_bytes) for start, n in runs]
 
 

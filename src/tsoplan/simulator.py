@@ -31,14 +31,14 @@ from dataclasses import dataclass
 from itertools import product
 
 from .configs import ArchConfig, ConvLayerSpec
-from .costmodel import TileKind, box_runs, tile_box
+from .costmodel import TileKind, box_runs, clip_box, tile_box
 from .slicing import ScheduleKind, TileConfig, TleSlice, tle_origins
 from .util import ceil_div
 
 
 @dataclass(frozen=True)
 class TransferEvent:
-    """One tile move: a box in a row-major source tensor."""
+    """One tile move: a box in a row-major source tensor; its runs are enumerated when read."""
 
     kind: TileKind
     tle: int
@@ -46,7 +46,16 @@ class TransferEvent:
     extent: tuple[int, int, int]
     map_dims: tuple[int, int, int]
     elem_bytes: int
-    runs: tuple[tuple[int, int], ...]
+
+    @property
+    def runs(self) -> tuple[tuple[int, int], ...]:
+        return tuple(box_runs(self.map_dims, self.origin, self.extent, self.elem_bytes))
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the box clipped to the map, 0 when nothing is left."""
+        _, (e0, e1, e2) = clip_box(self.map_dims, self.origin, self.extent)
+        return e0 * e1 * e2 * self.elem_bytes
 
 
 @dataclass(frozen=True)
@@ -62,11 +71,6 @@ class TransferTrace:
     loads_w: int
     stores_out: int
     total_bursts: dict[TileKind, BurstTotals] | None = None
-
-
-def _event(kind: TileKind, tle: int, dims, origin, extent, elem_bytes: int) -> TransferEvent:
-    runs = tuple(box_runs(dims, origin, extent, elem_bytes))
-    return TransferEvent(kind, tle, origin, extent, dims, elem_bytes, runs)
 
 
 def simulate_schedule(
@@ -108,24 +112,26 @@ def simulate_schedule(
                 loads_w += 1
                 if keep_events:
                     w_origin = (fil0 + km * group, 0, 0)
-                    events.append(_event(TileKind.W, tle, w_dims, w_origin, w_extent, e))
+                    events.append(TransferEvent(TileKind.W, tle, w_origin, w_extent, w_dims, e))
                 for kr, kc, kn in product(range(cr), range(cc), range(cn)):
                     loads_in += 1
                     if keep_events:
                         origin = (kn * t_n, (row0 + kr * t_r) * s - p, kc * t_c * s - p)
-                        events.append(_event(TileKind.IN, tle, in_dims, origin, in_extent, e))
+                        event = TransferEvent(TileKind.IN, tle, origin, in_extent, in_dims, e)
+                        events.append(event)
         else:
             for kr, kc, km, kn in product(range(cr), range(cc), range(cm), range(cn)):
                 loads_in += 1
                 loads_w += 1
                 if keep_events:
                     origin = (kn * t_n, (row0 + kr * t_r) * s - p, kc * t_c * s - p)
-                    events.append(_event(TileKind.IN, tle, in_dims, origin, in_extent, e))
+                    events.append(TransferEvent(TileKind.IN, tle, origin, in_extent, in_dims, e))
                     w_origin = (fil0 + km * group, kn * t_n, 0)
-                    events.append(_event(TileKind.W, tle, w_dims, w_origin, w_extent, e))
+                    events.append(TransferEvent(TileKind.W, tle, w_origin, w_extent, w_dims, e))
 
     gr = ceil_div(conv.r, t_r)
     gm = ceil_div(conv.m, group)
+    out_extent = (group, t_r, t_c)
     # WS walks filter groups outermost; IS and OS walk them innermost.
     if q is ScheduleKind.WS:
         stores = product(range(gm), range(gr), range(cc))
@@ -137,7 +143,7 @@ def simulate_schedule(
             fil, row = km * group, kr * t_r
             owner = max(t for t, (r0, f0) in enumerate(origins) if r0 <= row and f0 <= fil)
             origin = (fil, row, kc * t_c)
-            events.append(_event(TileKind.OUT, owner, out_dims, origin, (group, t_r, t_c), e))
+            events.append(TransferEvent(TileKind.OUT, owner, origin, out_extent, out_dims, e))
 
     trace = TransferTrace(events, loads_in, loads_w, stores_out)
     if count_bursts:
@@ -149,7 +155,7 @@ def count_bursts_exact(trace: TransferTrace, arch: ArchConfig) -> dict[TileKind,
     """Exhaustive per-byte burst enumeration over a trace.
 
     Walks every byte of each event's box clipped to the map straight from
-    its origin and extent (ignoring the precomputed runs), in plane, row,
+    its origin and extent (it never reads ``runs``), in plane, row,
     column, byte order.  Addresses strictly increase along that walk because
     every clipped index range ascends inside the map, so one pass splits the
     bytes into maximal contiguous runs and counts each run's burst-aligned

@@ -12,8 +12,11 @@ from pathlib import Path
 
 import pytest
 
+from tsoplan import cli, simulator
 from tsoplan.cli import main
 from tsoplan.configs import arch_to_json_dict, nmp_profile
+from tsoplan.costmodel import box_runs
+from tsoplan.simulator import simulate_schedule
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -78,14 +81,17 @@ def test_plan_table_digest(sample, mode, sw_ns, tmp_path, capsys):
     assert digest == PLAN_TABLE_GOLDEN[sample, mode, sw_ns]
 
 
-# simulate stdout and --dump-trace file; the trace is only taken on the toy
-# sample, whose replay keeps every transfer event.
+# simulate stdout and --dump-trace file of each sample's plan.  The trace has
+# one line per replayed transfer event: 20,034 lines (1.4 MB) on InceptionV3.
 SIMULATE_GOLDEN = {
     "toy_model": (
         "18c2f2dff38f22017ba927c58e9165006888cba50dface24f500ff71c8f96487",
         "0e178bbf61296b1896fcb712d665edf587658973b08a249c82d96a4677792d99",
     ),
-    "inceptionv3": ("8c510329d993a646d163c729811cdcc77207f7cc53a64df9d59fcb41d0af46c6", None),
+    "inceptionv3": (
+        "8c510329d993a646d163c729811cdcc77207f7cc53a64df9d59fcb41d0af46c6",
+        "940e0dc9ecbc64f6c3d374a69c88206fa5f51dca8044aa7412b64c42aa26d081",
+    ),
 }
 
 
@@ -103,3 +109,29 @@ def test_simulate_digest(sample, tmp_path, capsys):
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == report_digest
     if trace_digest:
         assert hashlib.sha256(trace.read_bytes()).hexdigest() == trace_digest
+
+
+def test_trace_dump_enumerates_no_runs(tmp_path, capsys, monkeypatch):
+    # bytes= is the clipped box's size, so the dump never lists byte runs;
+    # an event's runs are enumerated only when read.
+    calls, traces = [], []
+
+    def counting_box_runs(*args):
+        calls.append(args)
+        return box_runs(*args)
+
+    def keeping_simulate(*args, **kwargs):
+        traces.append(simulate_schedule(*args, **kwargs))
+        return traces[-1]
+
+    monkeypatch.setattr(simulator, "box_runs", counting_box_runs)
+    monkeypatch.setattr(cli, "simulate_schedule", keeping_simulate)
+    io = ["--model", str(SAMPLES / "toy_model.json"), "--arch", str(SAMPLES / "nmp_arch.json")]
+    plan, trace = tmp_path / "plan.json", tmp_path / "trace.txt"
+    assert main(["plan", *io, "--out", str(plan)]) == 0
+    assert main(["simulate", *io, "--plan", str(plan), "--dump-trace", str(trace)]) == 0
+    capsys.readouterr()
+    assert calls == []
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == SIMULATE_GOLDEN["toy_model"][1]
+    assert traces[0].events[0].runs  # the toy's first load touches its map
+    assert len(calls) == 1

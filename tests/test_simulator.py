@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from tsoplan.configs import ArchConfig, ConvLayerSpec
-from tsoplan.costmodel import TileKind, calc_burst_count, compute_alphas
+from tsoplan.costmodel import TileKind, box_runs, calc_burst_count, compute_alphas
 from tsoplan.simulator import TransferEvent, TransferTrace, count_bursts_exact, simulate_schedule
 from tsoplan.slicing import (
     ScheduleKind,
@@ -208,7 +208,7 @@ class TestBurstTotals:
 
 @st.composite
 def box_traces(draw):
-    """One or two boxes of one kind on one map, clipped on any side, runs=()."""
+    """One or two boxes of one kind on one map, clipped on any side."""
     dims = tuple(draw(st.integers(1, 6)) for _ in range(3))
     e = draw(st.sampled_from((1, 2)))
     kind = draw(st.sampled_from(list(TileKind)))
@@ -217,7 +217,7 @@ def box_traces(draw):
             kind, 0,
             tuple(draw(st.integers(-3, d + 1)) for d in dims),
             tuple(draw(st.integers(1, 8)) for _ in dims),
-            dims, e, runs=(),
+            dims, e,
         )
         for _ in range(draw(st.integers(1, 2)))
     ]
@@ -246,7 +246,7 @@ def interval_bursts(event, burst):
 # Two 4-byte boxes that abut in memory: each event is its own run, so they
 # cost two bursts, not the one a run merged across events would.
 ABUTTING = TransferTrace(
-    [TransferEvent(TileKind.IN, 0, (0, 0, c), (1, 1, 2), (1, 1, 4), 2, runs=()) for c in (0, 2)],
+    [TransferEvent(TileKind.IN, 0, (0, 0, c), (1, 1, 2), (1, 1, 4), 2) for c in (0, 2)],
     0, 0, 0,
 )
 
@@ -263,6 +263,16 @@ def test_exact_counts_match_the_touched_byte_intervals(trace, burst):
         aligned = sum(a for a, _ in counts)
         address_aware = sum(b for _, b in counts)
         assert (exact[kind].aligned, exact[kind].address_aware) == (aligned, address_aware)
+
+
+@given(trace=box_traces())
+@settings(max_examples=300, deadline=None)
+def test_event_bytes_equal_its_runs(trace):
+    # Boxes clipped on every side, empty ones included: nbytes clips without
+    # enumerating, runs enumerates on each read.
+    for ev in trace.events:
+        assert ev.runs == tuple(box_runs(ev.map_dims, ev.origin, ev.extent, ev.elem_bytes))
+        assert ev.nbytes == sum(n for _, n in ev.runs)
 
 
 # sha256 of each replay's event list on conv_for(n=3, h=9, l=7, m=6, k=3, s=2,
