@@ -31,8 +31,8 @@ that price a single tile, called with numpy arrays of candidate sides in
 place of ints, so the winner is what a plain-loop sweep over the whole tile
 box would select.  Each pair's winner is then rebuilt by ``build_entry``,
 the scalar path ``simulate`` also audits plans with; a t_m, total or burst
-count (re-counted over the tile's byte runs) that disagrees with the grid
-is an internal error.
+count (re-counted over the tile's byte runs, once per distinct winning tile
+of the pair) that disagrees with the grid is an internal error.
 
 The pairs' winners form a table, one per distinct layer geometry (the layer
 without its name) and time model.  ``tso`` and ``plan_layer`` fill only the
@@ -131,14 +131,6 @@ class PlanError(Exception):
         super().__init__("no feasible plan: " + " | ".join(lines))
 
 
-@dataclass(frozen=True)
-class _GridResult:
-    best: tuple[int, int, int, int] | None  # t_r, t_c, t_n, t_m
-    best_total: float
-    n_feasible: int
-    n_candidates: int
-
-
 def _side_cap(window, k: int, s: int, extent: int, limit: int):
     """Largest tile side t <= limit whose input window min((t - 1)*s + k,
     extent) fits ``window`` elements (below 1 if none); elementwise over
@@ -152,26 +144,27 @@ def _grid_search(
     slice_: TleSlice,
     q: ScheduleKind,
     models: tuple[TimeModel, ...],
-    n_tlt: int,
-) -> tuple[_GridResult, ...]:
-    """The first strict minimum in (t_r, t_c, t_n) order over every tile
-    that fits, per time model, for one partition/schedule pair.
+    caps: tuple[int, int, int],
+    sides: tuple[np.ndarray, np.ndarray, np.ndarray],
+) -> tuple[int, tuple[tuple[float, tuple[int, int, int, int] | None], ...]]:
+    """The feasible tile count of one partition/schedule pair and, per time
+    model, the total and (t_r, t_c, t_n, t_m) of the first strict minimum in
+    (t_r, t_c, t_n) order over every tile that fits (None if none does).
 
-    The scratchpad inequalities gen_tile checks bound the box before any
-    cell is priced: a 1x1 tile with one filter caps each axis (mb0 caps t_n,
-    t_r and t_c through the input window, mb2 caps t_r and t_c), so no side
-    passes what the scratchpads allow.  A capped box of at most
-    ``_SMALL_BOX_CELLS`` cells is priced whole.  In a larger one, sides of
-    one axis share a class when their keys, everything the cost reads of
-    them, agree: for t_r, ceil(tle_r/t_r), ceil(r/t_r) and whether the
-    input window covers all h rows; for t_c, ceil(c/t_c) and whether it
-    covers all l columns; for t_n, ceil(n/t_n) and filter_count's t_m (t_n
-    >= n is where ceil(n/t_n) reaches 1).  Within a class the alphas, tile
-    counts and software term are constant, while bytes, aligned bursts and
-    MAC cycles never decrease with the side, so the class's first side
-    costs no more than any other, fits whenever any other does and comes
-    first.  Only the first sides are priced, and the first strict minimum
-    over them is the whole box's, bit for bit.
+    ``caps`` bound (t_r, t_c, t_n) by the scratchpad inequalities gen_tile
+    checks on a 1x1 tile with one filter (mb0 caps t_n, t_r and t_c through
+    the input window, mb2 caps t_r and t_c).  ``sides`` lists each axis's
+    sides to price: every side up to its cap in a box of at most
+    ``_SMALL_BOX_CELLS`` cells, else the first side of each class.  Sides of
+    one axis share a class when their keys (``_class_keys``), everything the
+    cost reads of them, agree.  ``_table`` takes the caps of t_c and t_n per
+    geometry and t_r's per partition, and lists each axis's classes where
+    its key is fixed: t_c's per geometry, t_r's per partition, t_n's per
+    pair.  Within a class the alphas, tile counts and software term are
+    constant, while bytes, aligned bursts and MAC cycles never decrease with
+    the side, so the class's first side costs no more than any other, fits
+    whenever any other does and comes first.  The first strict minimum over
+    the first sides is the whole box's, bit for bit.
 
     The sides priced form a box; one of at most ``_CHUNK_CELLS`` cells is
     priced as one broadcast.  In a larger one only the cells that fit are
@@ -181,37 +174,23 @@ def _grid_search(
     exactly as a single tile does (remodel prices the other models), and
     cells without a filter group or overflowing a scratchpad are masked out.
     The feasible count, shared by the models, is of the whole box: from the
-    masks when it is priced whole, else the sum of the depth ranges of every
-    pair the walk gives over every side.
+    masks when every side is priced, else the sum of the depth ranges of
+    every pair the walk gives over every side.
     """
-    n_candidates = slice_.tle_r * conv.c * conv.n
-    e, k, s = conv.elem_bytes, conv.k, conv.s
-    h_pad, l_pad = conv.h + 2 * conv.p, conv.l + 2 * conv.p
-    h_1, l_1 = min(k, h_pad), min(k, l_pad)  # input window of a 1x1 tile
-    n_hi = min(conv.n, arch.mb0_bytes // (e * h_1 * l_1))
-    out_cap = arch.mb2_bytes // e  # one filter's t_r * t_c
-    r_hi = _side_cap(arch.mb0_bytes // (e * l_1), k, s, h_pad, min(slice_.tle_r, out_cap))
-    c_hi = _side_cap(arch.mb0_bytes // (e * h_1), k, s, l_pad, min(conv.c, out_cap))
-    nothing = (_GridResult(None, np.inf, 0, n_candidates),) * len(models)
-    if min(n_hi, r_hi, c_hi) < 1:
-        return nothing
+    r_hi, c_hi, n_hi = caps
+    t_r, t_c, t_n = sides
+    t_m = np.broadcast_to(filter_count(t_n, q, slice_.tle_w, arch.n_tlt, conv, arch), t_n.shape)
+    best: list[tuple[float, tuple[int, int, int, int] | None]] = [(np.inf, None)] * len(models)
+    if min(caps) < 1 or not t_m.any():
+        return 0, tuple(best)
 
-    by_class = r_hi * c_hi * n_hi > _SMALL_BOX_CELLS
-    if by_class:
-        t_r, t_c, t_n = _class_sides(conv, arch, slice_, q, n_tlt, (r_hi, c_hi, n_hi))
-    else:
-        t_r, t_c, t_n = (np.arange(1, hi + 1, dtype=np.int64) for hi in (r_hi, c_hi, n_hi))
-    t_m = np.broadcast_to(filter_count(t_n, q, slice_.tle_w, n_tlt, conv, arch), t_n.shape)
-    if not t_m.any():
-        return nothing
-
-    if t_r.size * t_c.size * t_n.size <= _CHUNK_CELLS:
+    n_sides = t_r.size * t_c.size * t_n.size
+    if n_sides <= _CHUNK_CELLS:
         box = (t_r.reshape(-1, 1, 1), t_c.reshape(1, -1, 1))
         chunks = [(t_m.reshape(1, 1, -1), t_n.reshape(1, 1, -1), *box)]
     else:
         chunks = _walk_cells(_walk(t_r, t_c, t_m, t_n, n_hi, q, conv, arch), t_m, t_n)
 
-    best: list[tuple[float, tuple[int, int, int, int] | None]] = [(np.inf, None)] * len(models)
     n_feasible = 0
     for m_, n_, r_, c_ in chunks:
         # Cells with no filter group are masked out; pricing them with one
@@ -235,7 +214,7 @@ def _grid_search(
                 # in that order too, so argmin's cell is the first minimum.
                 i, j, l = np.unravel_index(flat, t_total.shape) if t_total.ndim == 3 else [flat] * 3
                 best[x] = val, (int(r_.flat[i]), int(c_.flat[j]), int(n_.flat[l]), int(m_.flat[l]))
-    if by_class:
+    if n_sides < r_hi * c_hi * n_hi:
         # The masks saw only the first side of each class.  Every side is
         # walked in blocks; the pairs of a t_r are a prefix of t_c, so a
         # t_c block without a pair ends its t_r block.
@@ -247,24 +226,20 @@ def _grid_search(
                 if not ranges:
                     break
                 n_feasible += sum(ranges)
-    return tuple(_GridResult(key, val, n_feasible, n_candidates) for val, key in best)
+    return n_feasible, tuple(best)
 
 
-def _class_sides(
-    conv: ConvLayerSpec, arch: ArchConfig, slice_: TleSlice, q: ScheduleKind, n_tlt: int,
-    caps: tuple[int, int, int],
-):
-    """The first side of every class on each axis (see ``_grid_search``),
-    up to the (t_r, t_c, t_n) caps, as sorted arrays: side 1 and each side
-    where the axis's key, the tuple of what the cost reads of a side,
-    changes.  Every part of a key is monotone in t."""
+def _class_keys(conv: ConvLayerSpec, arch: ArchConfig, slice_: TleSlice, q: ScheduleKind | None):
+    """The keys of ``_grid_search``'s (t_r, t_c, t_n) classes, each monotone
+    in an array of sides: ceil(tle_r/t), ceil(r/t) and whether the window
+    covers all h rows; ceil(c/t) and whether it covers all l columns;
+    ceil(n/t) and filter_count's t_m.  Only t_n's key reads ``q``."""
     k, s = conv.k, conv.s
-    keys = (
+    return (
         lambda t: (ceil_div(slice_.tle_r, t), ceil_div(conv.r, t), (t - 1) * s + k >= conv.h),
         lambda t: (ceil_div(conv.c, t), (t - 1) * s + k >= conv.l),
-        lambda t: (ceil_div(conv.n, t), filter_count(t, q, slice_.tle_w, n_tlt, conv, arch)),
+        lambda t: (ceil_div(conv.n, t), filter_count(t, q, slice_.tle_w, arch.n_tlt, conv, arch)),
     )
-    return tuple(_steps(key, hi) for key, hi in zip(keys, caps))
 
 
 def _steps(key, hi: int):
@@ -385,7 +360,8 @@ def _table(
     fixed_tlt: ScheduleKind | None = None,
 ) -> tuple[tuple[_Cell, ...], ...]:
     """Per time model, the cells of the pairs a restriction allows in canonical
-    order, each pair swept once; raises ConfigError beyond ``_PRODUCT_MAX``."""
+    order, each pair swept once over the caps and sides taken here, each at
+    the loop that fixes it; raises ConfigError beyond ``_PRODUCT_MAX``."""
     moves = arch.n_tle * conv.m * conv.n * conv.r * conv.c * conv.k * conv.k
     window = conv.n * (conv.h + 2 * conv.p) * (conv.l + 2 * conv.p)
     if max(moves, window) > _PRODUCT_MAX:
@@ -393,6 +369,13 @@ def _table(
             f"layer {clip_repr(conv.name)}: n_tle*m*n*r*c*k*k = {moves} and"
             f" n*(h+2p)*(l+2p) = {window} must both be <= 2**61 to be priced exactly in int64"
         )
+    e, k, s = conv.elem_bytes, conv.k, conv.s
+    h_pad, l_pad = conv.h + 2 * conv.p, conv.l + 2 * conv.p
+    h_1, l_1 = min(k, h_pad), min(k, l_pad)  # input window of a 1x1 tile
+    out_cap = arch.mb2_bytes // e  # one filter's t_r * t_c
+    n_hi = min(conv.n, arch.mb0_bytes // (e * h_1 * l_1))
+    c_hi = _side_cap(arch.mb0_bytes // (e * h_1), k, s, l_pad, min(conv.c, out_cap))
+    c_sides = None  # t_c's classes, listed at the first class-priced partition
     schedules = (fixed_tlt,) if fixed_tlt else SCHEDULE_ORDER
     pairs = []  # per pair, its cell under each model
     for p in (fixed_tle,) if fixed_tle else PARTITION_ORDER:
@@ -402,24 +385,39 @@ def _table(
             reason = f"{p.value}: {exc.reason}"
             pairs += [[_Cell(p, q, None, reason, 0, 0)] * len(models) for q in schedules]
             continue
+        r_hi = _side_cap(arch.mb0_bytes // (e * l_1), k, s, h_pad, min(slice_.tle_r, out_cap))
+        caps = (r_hi, c_hi, n_hi)
+        whole = r_hi * c_hi * n_hi <= _SMALL_BOX_CELLS
+        if whole:
+            sides = tuple(np.arange(1, hi + 1, dtype=np.int64) for hi in caps)
+        else:
+            r_key, c_key, _ = _class_keys(conv, arch, slice_, None)
+            c_sides = _steps(c_key, c_hi) if c_sides is None else c_sides
+            r_sides = _steps(r_key, r_hi)
+        n_candidates = slice_.tle_r * conv.c * conv.n
         for q in schedules:
+            if not whole:
+                sides = (r_sides, c_sides, _steps(_class_keys(conv, arch, slice_, q)[2], n_hi))
+            n_feasible, winners = _grid_search(conv, arch, slice_, q, models, caps, sides)
+            runs = {}  # each distinct winning tile's bursts, counted over its byte runs
             pairs.append([])
-            for model, res in zip(models, _grid_search(conv, arch, slice_, q, models, arch.n_tlt)):
+            for model, (total, best) in zip(models, winners):
                 entry = reason = None
-                if res.best is None:
+                if best is None:
                     reason = f"{p.value}/{q.value}: no tile fits the scratchpads"
                 else:
-                    t_r, t_c, t_n, t_m = res.best
+                    t_r, t_c, t_n, t_m = best
                     entry = build_entry(conv.name, conv, arch, slice_, q, (t_n, t_r, t_c), model)
                     tile, cost = entry.tile, entry.cost
+                    if best not in runs:
+                        runs[best] = tuple(calc_burst_count(x, tile, conv, arch) for x in TileKind)
                     bursts = (cost.bursts_in, cost.bursts_w, cost.bursts_out)
-                    runs = (calc_burst_count(kind, tile, conv, arch) for kind in TileKind)
-                    if (tile.t_m, cost.t_total, *bursts) != (t_m, res.best_total, *runs):
+                    if (tile.t_m, cost.t_total, *bursts) != (t_m, total, *runs[best]):
                         raise RuntimeError(
                             f"internal: grid, scalar and run-enumerated {model} costs disagree"
                             f" for {conv.name} ({q.value}, t_r={t_r}, t_c={t_c}, t_n={t_n})"
                         )
-                pairs[-1].append(_Cell(p, q, entry, reason, res.n_feasible, res.n_candidates))
+                pairs[-1].append(_Cell(p, q, entry, reason, n_feasible, n_candidates))
     return tuple(zip(*pairs))
 
 

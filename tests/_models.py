@@ -1,13 +1,31 @@
-"""Model builders and sample loaders shared by the tests."""
+"""Layer, fabric and model builders and sample loaders shared by the tests."""
 
 from __future__ import annotations
 
 import random
 from pathlib import Path
 
-from tsoplan.configs import ConvLayerSpec, ModelSpec, parse_model
+from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec, parse_model
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
+
+
+def conv_for(name="t", n=4, h=16, l=16, m=8, k=3, s=1, p=0, e=2) -> ConvLayerSpec:
+    """A layer of n h x l input maps and m k x k filters at stride s and
+    padding p, with e-byte elements; r and c follow."""
+    r = (h + 2 * p - k) // s + 1
+    c = (l + 2 * p - k) // s + 1
+    return ConvLayerSpec(name=name, n=n, h=h, l=l, m=m, k=k, s=s, p=p, r=r, c=c, elem_bytes=e)
+
+
+def arch_for(mb=8192, n_tle=4, n_tlt=8, cas_ns=14.0, burst=128, sw_ns=0.0, bits=128) -> ArchConfig:
+    """A fabric of n_tle TLEs of n_tlt TLTs with three mb-byte scratchpads,
+    at 1 GHz and 17 GB/s."""
+    return ArchConfig(
+        n_tle=n_tle, n_tlt=n_tlt, mb0_bytes=mb, mb1_bytes=mb, mb2_bytes=mb,
+        datapath_bits=bits, freq_hz=1e9, cas_ns=cas_ns, bw_bytes_per_s=17e9,
+        burst_bytes=burst, sw_overhead_ns=sw_ns,
+    )
 
 
 def sample_model(name: str) -> ModelSpec:

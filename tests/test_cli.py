@@ -12,19 +12,11 @@ import pytest
 
 import tsoplan
 from tsoplan.cli import main
-from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec, parse_arch
+from tsoplan.configs import ConvLayerSpec, ModelSpec, parse_arch
 from tsoplan.report import PlanEntryDoc, entry_doc
 from tsoplan.search import PlanEntry
 
-from _models import SAMPLES, random_toy_model, sample_model
-
-
-def arch_for(mb=8192, n_tle=4, n_tlt=8):
-    return ArchConfig(
-        n_tle=n_tle, n_tlt=n_tlt, mb0_bytes=mb, mb1_bytes=mb, mb2_bytes=mb,
-        datapath_bits=128, freq_hz=1e9, cas_ns=14.0, bw_bytes_per_s=17e9,
-        burst_bytes=128, sw_overhead_ns=0.0,
-    )
+from _models import SAMPLES, arch_for, random_toy_model, sample_model
 
 
 @pytest.fixture()

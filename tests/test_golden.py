@@ -6,6 +6,7 @@ A plan or a comparison may only change with a change to the cost model or
 the search that says so; such a change updates these digests with it.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -17,6 +18,8 @@ from tsoplan.cli import main
 from tsoplan.configs import arch_to_json_dict, nmp_profile
 from tsoplan.costmodel import box_runs
 from tsoplan.simulator import simulate_schedule
+
+from _models import random_toy_model
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -50,6 +53,38 @@ def test_output_digest(sample, command, mode, tmp_path, capsys):
     assert main(argv) == 0
     capsys.readouterr()
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[sample, command, mode]
+
+
+# Plan JSON and compare CSV of random_toy_model(7, n_layers=60) on the NMP
+# profile and on 2 TLEs x 2 TLTs with 1 KiB scratchpads and 32 B bursts.
+# Between them they price grids whole and one tile per class, and split
+# layers by KS_OFM on two TLEs.
+RANDOM_FABRICS = {
+    "nmp": nmp_profile(),
+    "2x2_1k": dataclasses.replace(
+        nmp_profile(), n_tle=2, n_tlt=2, mb0_bytes=1024, mb1_bytes=1024, mb2_bytes=1024,
+        burst_bytes=32,
+    ),
+}
+RANDOM_GOLDEN = {
+    ("nmp", "plan"):
+        "a4642772cd1bc143e79a6cc882f96324a9e3baad124e35b65f56fd707d70a443",
+    ("nmp", "compare"):
+        "b70034e113e4474d4108a336961f0e5f73716588e35231298566ed1b54752bc0",
+    ("2x2_1k", "plan"):
+        "78772fc6aace58b6f4001621343752dc4343fdc08b90196e98b45bbf369a61b9",
+    ("2x2_1k", "compare"):
+        "ee22766a12b6310176c91ac3d9c4018ec6243a4ae0c0f9c4604f10f0e8e5b18b",
+}
+
+
+@pytest.mark.parametrize("fabric,command", sorted(RANDOM_GOLDEN))
+def test_random_model_digest(fabric, command, write_configs, tmp_path, capsys):
+    model_path, arch_path = write_configs(random_toy_model(7, n_layers=60), RANDOM_FABRICS[fabric])
+    out = tmp_path / "out"
+    assert main([command, "--model", model_path, "--arch", arch_path, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == RANDOM_GOLDEN[fabric, command]
 
 
 # plan stdout (the plan table) by sample, time model and launch overhead;

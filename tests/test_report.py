@@ -6,7 +6,7 @@ from dataclasses import fields
 import pytest
 
 from tsoplan.cli import main
-from tsoplan.configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, nmp_profile
+from tsoplan.configs import ConfigError, ModelSpec, nmp_profile
 from tsoplan.costmodel import move_times
 from tsoplan.report import (
     PlanEntryDoc,
@@ -21,21 +21,7 @@ from tsoplan.report import (
 )
 from tsoplan.search import compare_strategies, tso
 
-from _models import random_toy_model
-
-
-def conv_for(name="t", n=4, h=16, l=16, m=8, k=3, s=1, p=0, e=2):
-    r = (h + 2 * p - k) // s + 1
-    c = (l + 2 * p - k) // s + 1
-    return ConvLayerSpec(name=name, n=n, h=h, l=l, m=m, k=k, s=s, p=p, r=r, c=c, elem_bytes=e)
-
-
-def arch_for(mb=8192, n_tle=4, n_tlt=8, sw_ns=0.0):
-    return ArchConfig(
-        n_tle=n_tle, n_tlt=n_tlt, mb0_bytes=mb, mb1_bytes=mb, mb2_bytes=mb,
-        datapath_bits=128, freq_hz=1e9, cas_ns=14.0, bw_bytes_per_s=17e9,
-        burst_bytes=128, sw_overhead_ns=sw_ns,
-    )
+from _models import arch_for, conv_for, random_toy_model
 
 
 @pytest.fixture(scope="module")

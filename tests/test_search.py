@@ -11,7 +11,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 import tsoplan.search
 from tsoplan.cli import main
-from tsoplan.configs import INT_MAX, ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, nmp_profile
+from tsoplan.configs import INT_MAX, ConfigError, ConvLayerSpec, ModelSpec, nmp_profile
 from tsoplan.costmodel import calc_time, move_times, remodel
 from tsoplan.search import (
     COMPARE_COLUMNS,
@@ -34,21 +34,7 @@ from tsoplan.slicing import (
     tle_slicing,
 )
 
-from _models import random_toy_model, sample_model
-
-
-def conv_for(name="t", n=4, h=16, l=16, m=8, k=3, s=1, p=0, e=2):
-    r = (h + 2 * p - k) // s + 1
-    c = (l + 2 * p - k) // s + 1
-    return ConvLayerSpec(name=name, n=n, h=h, l=l, m=m, k=k, s=s, p=p, r=r, c=c, elem_bytes=e)
-
-
-def arch_for(mb=8192, n_tle=4, n_tlt=8, cas_ns=14.0, sw_ns=0.0):
-    return ArchConfig(
-        n_tle=n_tle, n_tlt=n_tlt, mb0_bytes=mb, mb1_bytes=mb, mb2_bytes=mb,
-        datapath_bits=128, freq_hz=1e9, cas_ns=cas_ns, bw_bytes_per_s=17e9,
-        burst_bytes=128, sw_overhead_ns=sw_ns,
-    )
+from _models import arch_for, conv_for, random_toy_model, sample_model
 
 
 def brute_plan_layer(conv, arch, model, partitions=PARTITION_ORDER, schedules=SCHEDULE_ORDER):
@@ -529,6 +515,47 @@ class TestSweepCounts:
         assert len(sweeps) == 3
 
 
+class TestOncePerFixedKey:
+    """Each axis's classes are listed once where its key is fixed (t_c per
+    geometry, t_r per partition, t_n per pair), and each distinct winning
+    tile of a pair has its byte runs counted once, whatever the time models."""
+
+    # r = c = 32 and n = 64 on 4 TLEs: every partition's capped box, 8 to 32
+    # rows by 32 columns by 64 channels, is priced one tile per class.
+    MODEL = ModelSpec(name="m", layers=(conv_for(n=64, h=34, l=34, m=64),))
+
+    @staticmethod
+    def count(monkeypatch, name):
+        calls = []
+        real = getattr(tsoplan.search, name)
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(tsoplan.search, name, counted)
+        return calls
+
+    def test_compare_lists_t_c_once_t_r_per_partition_t_n_per_pair(self, monkeypatch):
+        listings = self.count(monkeypatch, "_steps")
+        compare_strategies(self.MODEL, arch_for())
+        assert len(listings) == 1 + 3 + 9
+
+    def test_a_fixed_schedule_lists_t_n_once_per_partition(self, monkeypatch):
+        listings = self.count(monkeypatch, "_steps")
+        tso(self.MODEL, arch_for(), fixed_tlt=ScheduleKind.OS)
+        assert len(listings) == 1 + 3 + 3
+
+    def test_a_winner_shared_by_both_models_is_recounted_once(self, monkeypatch):
+        recounts = self.count(monkeypatch, "calc_burst_count")
+        (burst,), (noburst,) = tsoplan.search._table(
+            self.MODEL.layers[0], arch_for(), BOTH_MODELS,
+            fixed_tle=TlePartitionKind.OFM, fixed_tlt=ScheduleKind.WS,
+        )
+        assert burst.entry.tile == noburst.entry.tile
+        assert len(recounts) == 3  # one per tile kind
+
+
 class TestCompareColumnReferee:
     """Every compare column equals the plain-loop search under its restriction."""
 
@@ -640,8 +667,17 @@ SEARCH_PATHS = {
 BOTH_MODELS = ("burst", "noburst")
 
 
+def grid_row(cell):
+    """A table cell as plain_grid's (winner, total, feasible, candidates)."""
+    if cell.entry is None:
+        return None, np.inf, cell.n_feasible, cell.n_candidates
+    tile = cell.entry.tile
+    winner = (tile.t_r, tile.t_c, tile.t_n, tile.t_m)
+    return winner, cell.entry.cost.t_total, cell.n_feasible, cell.n_candidates
+
+
 def grid_results(conv, arch, slice_, q, model):
-    """_grid_search's result for ``model`` on every search path, alone and
+    """The pair's _table cell for ``model`` on every search path, alone and
     from one pass shared by both time models.  The shared pass's result for
     the other model must be the plain loop's for that model."""
     mine = BOTH_MODELS.index(model)
@@ -651,11 +687,12 @@ def grid_results(conv, arch, slice_, q, model):
         with pytest.MonkeyPatch.context() as mp:
             for constant, value in constants.items():
                 mp.setattr(tsoplan.search, constant, value)
-            (alone,) = tsoplan.search._grid_search(conv, arch, slice_, q, (model,), arch.n_tlt)
-            shared = tsoplan.search._grid_search(conv, arch, slice_, q, BOTH_MODELS, arch.n_tlt)
-        rows = [(res.best, res.best_total, res.n_feasible, res.n_candidates) for res in shared]
+            pair = dict(fixed_tle=slice_.kind, fixed_tlt=q)
+            ((alone,),) = tsoplan.search._table(conv, arch, (model,), **pair)
+            shared = tsoplan.search._table(conv, arch, BOTH_MODELS, **pair)
+        rows = [grid_row(cell) for (cell,) in shared]
         assert rows[1 - mine] == other, name
-        results[name] = (alone.best, alone.best_total, alone.n_feasible, alone.n_candidates)
+        results[name] = grid_row(alone)
         results[name + "/shared"] = rows[mine]
     return results
 
@@ -784,9 +821,9 @@ class TestPricedCells:
             return real_calc(tile, *args)
 
         def counted_grid(*args):
-            results = real_grid(*args)
-            feasible.append(results[0].n_feasible)  # one time model here
-            return results
+            n_feasible, winners = real_grid(*args)
+            feasible.append(n_feasible)
+            return n_feasible, winners
 
         monkeypatch.setattr(tsoplan.search, "calc_time", counted_calc)
         monkeypatch.setattr(tsoplan.search, "_grid_search", counted_grid)
@@ -816,12 +853,12 @@ STEP_ARCH = arch_with(8192, 1024, 32)
 
 
 def depth_key(q):
-    """ceil(n/t) and filter_count's t_m, as _class_sides keys t_n."""
+    """ceil(n/t) and filter_count's t_m, as _class_keys keys t_n."""
     conv, arch = STEP_CONV, STEP_ARCH
     return lambda t: (-(-conv.n // t), filter_count(t, q, conv.m, 1, conv, arch))
 
 
-# Keys built the way _class_sides builds them: ceil(N/t) trip counts,
+# Keys built the way _class_keys builds them: ceil(N/t) trip counts,
 # window-coverage flags and filter_count's t_m, each monotone in t.
 STEP_KEYS = {
     "ceil_37": lambda t: (-(-37 // t),),
@@ -867,16 +904,18 @@ class TestCountMemory:
         conv = conv_for(n=1, h=side if tall else 1, l=1 if tall else side, m=1, k=1)
         big = 2**31 - 1
         arch = arch_with(big, big, big, n_tle=1, n_tlt=1)
-        slice_ = tle_slicing(TlePartitionKind.KS, conv, 1)
         tracemalloc.start()
         try:
-            (res,) = tsoplan.search._grid_search(conv, arch, slice_, ScheduleKind.OS, ("burst",), 1)
+            ((cell,),) = tsoplan.search._table(
+                conv, arch, ("burst",), fixed_tle=TlePartitionKind.KS, fixed_tlt=ScheduleKind.OS
+            )
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         # Every one-channel tile of one row or column fits.
-        assert res.best[:3] == ((side, 1, 1) if tall else (1, side, 1))
-        assert res.n_feasible == side
+        tile = cell.entry.tile
+        assert (tile.t_r, tile.t_c, tile.t_n) == ((side, 1, 1) if tall else (1, side, 1))
+        assert cell.n_feasible == side
         assert peak < 8 * side  # smaller than one int64 array of every side
 
 
@@ -927,7 +966,8 @@ class TestClassLemma:
         except Infeasible:
             return
         grid = (slice_.tle_r, conv.c, conv.n)
-        firsts = tsoplan.search._class_sides(conv, arch, slice_, q, arch.n_tlt, grid)
+        keys = tsoplan.search._class_keys(conv, arch, slice_, q)
+        firsts = [tsoplan.search._steps(key, hi) for key, hi in zip(keys, grid)]
         priced = {}
         for cell in np.ndindex(*grid):
             cell = tuple(side + 1 for side in cell)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tsoplan.configs import ArchConfig, ConvLayerSpec
 from tsoplan.costmodel import TileKind, box_runs, calc_burst_count, compute_alphas
 from tsoplan.simulator import TransferEvent, TransferTrace, count_bursts_exact, simulate_schedule
 from tsoplan.slicing import (
@@ -20,19 +19,7 @@ from tsoplan.slicing import (
 )
 from tsoplan.util import ceil_div
 
-
-def conv_for(n=4, h=16, l=16, m=8, k=3, s=1, p=0, e=2):
-    r = (h + 2 * p - k) // s + 1
-    c = (l + 2 * p - k) // s + 1
-    return ConvLayerSpec(name="t", n=n, h=h, l=l, m=m, k=k, s=s, p=p, r=r, c=c, elem_bytes=e)
-
-
-def arch_for(mb=8192, n_tle=4, n_tlt=8, burst=128):
-    return ArchConfig(
-        n_tle=n_tle, n_tlt=n_tlt, mb0_bytes=mb, mb1_bytes=mb, mb2_bytes=mb,
-        datapath_bits=128, freq_hz=1e9, cas_ns=14.0, bw_bytes_per_s=17e9,
-        burst_bytes=burst, sw_overhead_ns=0.0,
-    )
+from _models import arch_for, conv_for
 
 
 def tile_with_filters(q, conv, arch, slice_, t_n, t_r, t_c):

@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from tsoplan.configs import ArchConfig, ConvLayerSpec
+from tsoplan.configs import ArchConfig
 from tsoplan.slicing import (
     Infeasible,
     ScheduleKind,
@@ -16,19 +16,7 @@ from tsoplan.slicing import (
 )
 from tsoplan.util import ceil_div
 
-
-def conv_for(n=4, h=16, l=16, m=8, k=3, s=1, p=0, e=2):
-    r = (h + 2 * p - k) // s + 1
-    c = (l + 2 * p - k) // s + 1
-    return ConvLayerSpec(name="t", n=n, h=h, l=l, m=m, k=k, s=s, p=p, r=r, c=c, elem_bytes=e)
-
-
-def arch_for(mb=8192, n_tle=4, n_tlt=8):
-    return ArchConfig(
-        n_tle=n_tle, n_tlt=n_tlt, mb0_bytes=mb, mb1_bytes=mb, mb2_bytes=mb,
-        datapath_bits=128, freq_hz=1e9, cas_ns=14.0, bw_bytes_per_s=17e9,
-        burst_bytes=128, sw_overhead_ns=0.0,
-    )
+from _models import arch_for, conv_for
 
 
 class TestTleSlicing:
