@@ -207,12 +207,12 @@ def cmd_simulate(args) -> int:
         # Rebuild the entry as the planner does: t_m follows from the schedule.
         try:
             slice_ = tle_slicing(stored.tle_partition, conv, arch.n_tle)
-            entry = build_entry(stored.layer, conv, arch, slice_, stored.schedule, sides, doc.mode)
+            entry = build_entry(conv, arch, slice_, stored.schedule, sides, doc.mode)
         except Infeasible as exc:
-            sys.stdout.write(f"FAIL {stored.layer}: stored tile is infeasible: {exc.reason}\n")
+            sys.stdout.write(f"FAIL {stored.layer}: stored tile is infeasible: {exc}\n")
             failures += 1
             continue
-        fresh = entry_doc(entry)
+        fresh = entry_doc(stored.layer, entry)
         problems = [
             f"{f.name} stored {getattr(stored, f.name)}, recomputed {getattr(fresh, f.name)}"
             for f in fields(stored) if getattr(stored, f.name) != getattr(fresh, f.name)

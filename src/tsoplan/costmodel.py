@@ -65,7 +65,6 @@ class CostBreakdown:
     bursts_in: int
     bursts_w: int
     bursts_out: int
-    mode: TimeModel
 
 
 def compute_alphas(
@@ -257,7 +256,7 @@ def calc_time(
     alphas = compute_alphas(q, conv, slice_, tile, arch.n_tle)
     bursts = (aligned_bursts(kind, tile, conv, arch) for kind in TileKind)
     t_sw = alphas.total * arch.sw_overhead_s
-    cost = CostBreakdown(conv_mac_time(tile, conv, arch), 0.0, t_sw, 0.0, alphas, *bursts, model)
+    cost = CostBreakdown(conv_mac_time(tile, conv, arch), 0.0, t_sw, 0.0, alphas, *bursts)
     return remodel(cost, tile, arch, model)
 
 
@@ -280,4 +279,4 @@ def remodel(cost: CostBreakdown, tile: TileConfig, arch: ArchConfig, model: Time
     t_in, t_w, t_out = move_times(cost, tile, arch, model)
     t_mac, t_dram, t_sw = cost.t_mac, t_in + t_w + t_out, cost.t_sw
     bursts = (cost.bursts_in, cost.bursts_w, cost.bursts_out)
-    return CostBreakdown(t_mac, t_dram, t_sw, t_mac + t_dram + t_sw, cost.alphas, *bursts, model)
+    return CostBreakdown(t_mac, t_dram, t_sw, t_mac + t_dram + t_sw, cost.alphas, *bursts)

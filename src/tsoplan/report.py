@@ -5,6 +5,8 @@ The plan JSON stores everything needed to re-audit a plan against a model
 and architecture file: the chosen partition, schedule, and tile shape per
 layer, plus the move counts, per-tile burst counts, and the time split.
 Times are microseconds rounded to three decimals; counts are exact ints.
+A layer's name and time model come from the plan's keys and mode: a
+``PlanEntry`` is one geometry's plan, shared by the layers of that geometry.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from enum import Enum
 
 from .configs import ArchConfig, ConfigError, ConvLayerSpec, ModelSpec, clip_repr, read_fields
 from .costmodel import move_times
-from .search import PlanEntry, PlanMap, StrategyComparison
+from .search import COMPARE_COLUMNS, PlanEntry, PlanMap, StrategyComparison
 from .slicing import ScheduleKind, TlePartitionKind
 
 
@@ -69,11 +71,11 @@ class PlanDoc:
 _ENTRY_FIELDS = fields(PlanEntryDoc)
 
 
-def entry_doc(entry: PlanEntry) -> PlanEntryDoc:
+def entry_doc(layer: str, entry: PlanEntry) -> PlanEntryDoc:
     cost = entry.cost
     tile = entry.tile
     return PlanEntryDoc(
-        layer=entry.layer,
+        layer=layer,
         tle_partition=entry.slice.kind,
         schedule=entry.schedule,
         t_m=tile.t_m,
@@ -102,7 +104,7 @@ def _json_value(value: object) -> object:
 def plan_to_json_dict(plan: PlanMap, arch: ArchConfig) -> dict:
     entries = [
         {f.name: _json_value(getattr(doc, f.name)) for f in _ENTRY_FIELDS}
-        for doc in map(entry_doc, plan.entries.values())
+        for doc in map(entry_doc, plan.entries, plan.entries.values())
     ]
     return {
         "model": plan.model_name,
@@ -211,16 +213,16 @@ def roofline_csv(points: list[RooflinePoint]) -> str:
 def compare_csv(comparison: StrategyComparison) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["layer", *comparison.columns])
+    writer.writerow(["layer", *COMPARE_COLUMNS])
     for layer in comparison.layers:
         row: list[object] = [layer]
-        for column in comparison.columns:
+        for column in COMPARE_COLUMNS:
             value = comparison.cells[layer][column]
             row.append("" if value is None else f"{format_us(value):.3f}")
         writer.writerow(row)
     total_row: list[object] = ["total"]
     speedup_row: list[object] = ["speedup_vs_tso"]
-    for column in comparison.columns:
+    for column in COMPARE_COLUMNS:
         total = comparison.totals[column]
         speedup = comparison.speedups[column]
         total_row.append("" if total is None else f"{format_us(total):.3f}")
@@ -250,10 +252,10 @@ def plan_table(plan: PlanMap, arch: ArchConfig) -> str:
     )
     rows = [header]
     for name, entry in plan.entries.items():
-        doc = entry_doc(entry)
+        doc = entry_doc(name, entry)
         cost = entry.cost
         a = cost.alphas
-        t_in, t_w, t_out = move_times(cost, entry.tile, arch, cost.mode)
+        t_in, t_w, t_out = move_times(cost, entry.tile, arch, plan.mode)
         # Launch overhead joins loads and stores by their move counts, so the
         # three shares sum to 100 of the layer's own total.
         load = t_in + t_w + (a.a_in + a.a_w) * arch.sw_overhead_s

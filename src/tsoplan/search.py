@@ -38,6 +38,8 @@ The pairs' winners form a table, one per distinct layer geometry (the layer
 without its name) and time model.  ``tso`` and ``plan_layer`` fill only the
 cells their restriction allows; ``compare_strategies`` fills the burst and
 noburst tables from one sweep of every pair and reduces each column over them.
+A ``PlanEntry`` holds no layer name: ``tso`` maps every layer's name to the
+one entry of its geometry, so layers sharing a geometry share the object.
 Geometries are searched one at a time on the calling thread: a thread pool
 over them was slower than one thread on every bench workload.
 """
@@ -75,11 +77,11 @@ _CHUNK_CELLS = 1 << 16
 
 # Largest scratchpad-capped box priced whole rather than one tile per class:
 # finding the classes and counting the feasible cells costs about as much
-# as pricing a few thousand cells.  Median of 3 one-thread
-# compare_strategies runs on a shared 2-core Xeon (Python 3.11, numpy 2.4)
-# at cutoffs of 0 / 512 / 4,096 / 65,536 cells: InceptionV3 0.62 / 0.62 /
-# 0.65 / 1.57 s, the 400 distinct bench convs 5.29 / 5.54 / 4.88 / 7.72 s,
-# the 64 referee bench convs 0.57 / 0.32 / 0.30 / 0.29 s.
+# as pricing a few thousand cells.  Median CPU of 5 alternated tso runs on
+# a shared 2-core Xeon (Python 3.11, numpy 2.4) at 0 / 512 / 4,096 / 16,384
+# / 65,536 cells: InceptionV3 0.187 / 0.195 / 0.183 / 0.225 / 0.653 s, the
+# 400 distinct bench convs (seed 1) 1.63 / 1.71 / 1.36 / 1.86 / 2.67 s, the
+# referee bench convs (seed 1) 0.190 / 0.134 / 0.133 / 0.133 / 0.133 s.
 _SMALL_BOX_CELLS = 1 << 12
 
 # Bound on a layer's move product n_tle*m*n*r*c*k*k and window product
@@ -91,7 +93,6 @@ _PRODUCT_MAX = 2**61
 
 @dataclass(frozen=True)
 class PlanEntry:
-    layer: str
     slice: TleSlice
     tile: TileConfig
     schedule: ScheduleKind
@@ -325,7 +326,7 @@ def _walk_cells(walk, t_m, t_n):
 
 
 def build_entry(
-    layer: str, conv: ConvLayerSpec, arch: ArchConfig, slice_: TleSlice, q: ScheduleKind,
+    conv: ConvLayerSpec, arch: ArchConfig, slice_: TleSlice, q: ScheduleKind,
     sides: tuple[int, int, int], model: TimeModel,
 ) -> PlanEntry:
     """The tile of sides (t_n, t_r, t_c) through get_filters, gen_tile and
@@ -336,7 +337,7 @@ def build_entry(
     t_n, t_r, t_c = sides
     t_m = get_filters(t_r, t_c, q, slice_.tle_w, arch.n_tlt, t_n, conv, arch)
     tile = gen_tile(t_m, t_n, t_r, t_c, q, conv, arch, slice_)
-    return PlanEntry(layer, slice_, tile, q, calc_time(tile, q, conv, slice_, arch, model))
+    return PlanEntry(slice_, tile, q, calc_time(tile, q, conv, slice_, arch, model))
 
 
 @dataclass(frozen=True)
@@ -382,7 +383,7 @@ def _table(
         try:
             slice_ = tle_slicing(p, conv, arch.n_tle)
         except Infeasible as exc:
-            reason = f"{p.value}: {exc.reason}"
+            reason = f"{p.value}: {exc}"
             pairs += [[_Cell(p, q, None, reason, 0, 0)] * len(models) for q in schedules]
             continue
         r_hi = _side_cap(arch.mb0_bytes // (e * l_1), k, s, h_pad, min(slice_.tle_r, out_cap))
@@ -407,7 +408,7 @@ def _table(
                     reason = f"{p.value}/{q.value}: no tile fits the scratchpads"
                 else:
                     t_r, t_c, t_n, t_m = best
-                    entry = build_entry(conv.name, conv, arch, slice_, q, (t_n, t_r, t_c), model)
+                    entry = build_entry(conv, arch, slice_, q, (t_n, t_r, t_c), model)
                     tile, cost = entry.tile, entry.cost
                     if best not in runs:
                         runs[best] = tuple(calc_burst_count(x, tile, conv, arch) for x in TileKind)
@@ -421,7 +422,7 @@ def _table(
     return tuple(zip(*pairs))
 
 
-def _reduce(layer: str, cells) -> tuple[PlanEntry | None, list[str], bool]:
+def _reduce(cells) -> tuple[PlanEntry | None, list[str], bool]:
     """The first strict minimum over cells in canonical order, the reasons
     of the cells without a tile, and whether a later cell ties the winner."""
     best, attempts, tied = None, [], False
@@ -434,7 +435,7 @@ def _reduce(layer: str, cells) -> tuple[PlanEntry | None, list[str], bool]:
             best, tied = cell.entry, False
         elif cell.entry.cost.t_total == best.cost.t_total:
             tied = True
-    return (None if best is None else replace(best, layer=layer)), attempts, tied
+    return best, attempts, tied
 
 
 def plan_layer(
@@ -465,7 +466,7 @@ def tso(
     tables = _map_geometries(
         model.layers, lambda conv: _table(conv, arch, (mode,), fixed_tle, fixed_tlt)[0]
     )
-    outcomes = [_reduce(conv.name, table) for conv, table in zip(model.layers, tables)]
+    outcomes = [_reduce(table) for table in tables]
     failures = [
         (conv.name, attempts)
         for conv, (entry, attempts, _) in zip(model.layers, outcomes)
@@ -512,7 +513,8 @@ def _column_cells(column: str, burst: tuple[_Cell, ...], noburst: tuple[_Cell, .
 
 @dataclass
 class StrategyComparison:
-    """Per-layer burst-model times for the free search and each fixed strategy.
+    """Per-layer burst-model times for the free search and each fixed strategy,
+    keyed by layer name and then by column of ``COMPARE_COLUMNS``.
 
     Every cell is re-costed under the burst model so columns are comparable;
     None marks an infeasible layer/strategy pair, with the reason kept in
@@ -521,7 +523,6 @@ class StrategyComparison:
     """
 
     layers: tuple[str, ...]
-    columns: tuple[str, ...]
     cells: dict[str, dict[str, float | None]]
     reasons: dict[tuple[str, str], str]
     totals: dict[str, float | None]
@@ -542,7 +543,7 @@ def compare_strategies(
     for conv, (burst, noburst) in zip(model.layers, tables):
         row = cells[conv.name]
         for column in COMPARE_COLUMNS:
-            entry, attempts, _ = _reduce(conv.name, _column_cells(column, burst, noburst))
+            entry, attempts, _ = _reduce(_column_cells(column, burst, noburst))
             if entry is None:
                 row[column] = None
                 reasons[(conv.name, column)] = "; ".join(attempts)
@@ -562,7 +563,6 @@ def compare_strategies(
     }
     return StrategyComparison(
         layers=tuple(conv.name for conv in model.layers),
-        columns=COMPARE_COLUMNS,
         cells=cells,
         reasons=reasons,
         totals=totals,

@@ -37,10 +37,6 @@ class ScheduleKind(Enum):
 class Infeasible(Exception):
     """A candidate partition or tile cannot run on the given configuration."""
 
-    def __init__(self, reason: str):
-        super().__init__(reason)
-        self.reason = reason
-
 
 @dataclass(frozen=True)
 class TleSlice:

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from pathlib import Path
 
-from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec, parse_model
+from tsoplan.configs import ArchConfig, ConvLayerSpec, ModelSpec, nmp_profile, parse_model
 
 SAMPLES = Path(__file__).resolve().parent.parent / "samples"
 
@@ -62,3 +63,15 @@ def random_toy_model(seed: int, n_layers: int = 3) -> ModelSpec:
             )
         )
     return ModelSpec(name=f"toy{seed}", layers=tuple(layers))
+
+
+# The NMP profile, and 2 TLEs x 2 TLTs with 1 KiB scratchpads and 32 B bursts.
+# On random_toy_model(7, n_layers=60) they price grids whole and one tile per
+# class between them, and split layers by KS_OFM on two TLEs.
+RANDOM_FABRICS = {
+    "nmp": nmp_profile(),
+    "2x2_1k": dataclasses.replace(
+        nmp_profile(), n_tle=2, n_tlt=2, mb0_bytes=1024, mb1_bytes=1024, mb2_bytes=1024,
+        burst_bytes=32,
+    ),
+}

@@ -441,7 +441,7 @@ class TestSimulateCommand:
         slice_ = tsoplan.tle_slicing(tsoplan.TlePartitionKind.OFM, conv, arch.n_tle)
         tile = tsoplan.gen_tile(**sides, q=q, conv=conv, arch=arch, slice_=slice_)
         cost = tsoplan.calc_time(tile, q, conv, slice_, arch, doc["mode"])
-        edited = dataclasses.asdict(entry_doc(PlanEntry("entry", slice_, tile, q, cost)))
+        edited = dataclasses.asdict(entry_doc("entry", PlanEntry(slice_, tile, q, cost)))
         assert edited["t_total_us"] == total_us
         doc["entries"][0] = {**edited, "tle_partition": "ofm", "schedule": "is"}
         out.write_text(json.dumps(doc))

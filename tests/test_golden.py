@@ -6,7 +6,6 @@ A plan or a comparison may only change with a change to the cost model or
 the search that says so; such a change updates these digests with it.
 """
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -19,7 +18,7 @@ from tsoplan.configs import arch_to_json_dict, nmp_profile
 from tsoplan.costmodel import box_runs
 from tsoplan.simulator import simulate_schedule
 
-from _models import random_toy_model
+from _models import RANDOM_FABRICS, random_toy_model
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
@@ -55,17 +54,8 @@ def test_output_digest(sample, command, mode, tmp_path, capsys):
     assert hashlib.sha256(out.read_bytes()).hexdigest() == GOLDEN[sample, command, mode]
 
 
-# Plan JSON and compare CSV of random_toy_model(7, n_layers=60) on the NMP
-# profile and on 2 TLEs x 2 TLTs with 1 KiB scratchpads and 32 B bursts.
-# Between them they price grids whole and one tile per class, and split
-# layers by KS_OFM on two TLEs.
-RANDOM_FABRICS = {
-    "nmp": nmp_profile(),
-    "2x2_1k": dataclasses.replace(
-        nmp_profile(), n_tle=2, n_tlt=2, mb0_bytes=1024, mb1_bytes=1024, mb2_bytes=1024,
-        burst_bytes=32,
-    ),
-}
+# Plan JSON and compare CSV of random_toy_model(7, n_layers=60) on each of
+# RANDOM_FABRICS.
 RANDOM_GOLDEN = {
     ("nmp", "plan"):
         "a4642772cd1bc143e79a6cc882f96324a9e3baad124e35b65f56fd707d70a443",

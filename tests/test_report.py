@@ -19,7 +19,7 @@ from tsoplan.report import (
     roofline_csv,
     roofline_points,
 )
-from tsoplan.search import compare_strategies, tso
+from tsoplan.search import COMPARE_COLUMNS, compare_strategies, tso
 
 from _models import arch_for, conv_for, random_toy_model
 
@@ -279,7 +279,7 @@ class TestCompareCsv:
         model = ModelSpec(name="m", layers=(conv_for(name="a"),))
         cmp_ = compare_strategies(model, arch_for(n_tle=3))
         lines = compare_csv(cmp_).splitlines()
-        col = cmp_.columns.index("fixed_ksofm") + 1
+        col = COMPARE_COLUMNS.index("fixed_ksofm") + 1
         assert lines[1].split(",")[col] == ""
         assert lines[-2].split(",")[col] == ""
         assert lines[-1].split(",")[col] == ""

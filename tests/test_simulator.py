@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from tsoplan.costmodel import TileKind, box_runs, calc_burst_count, compute_alphas
+from tsoplan.configs import nmp_profile
+from tsoplan.costmodel import TileKind, box_runs, calc_burst_count, clip_box, compute_alphas
 from tsoplan.simulator import TransferEvent, TransferTrace, count_bursts_exact, simulate_schedule
 from tsoplan.slicing import (
     ScheduleKind,
@@ -312,3 +313,59 @@ def test_every_event_belongs_to_an_existing_tle(n_tle, q, t_r):
     stores = [e for e in trace.events if e.kind is TileKind.OUT]
     assert stores
     assert all(0 <= e.tle < n_tle for e in trace.events)
+
+
+class TestOpenModelDefects:
+    """Known disagreements between the cost model and the replay, each quoted
+    from its CHANGES.md FOUND line.  Mending one is a model fix that changes
+    plans, so these pass only once that fix lands."""
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FOUND: under IS the cost model prices each store as one t_m-deep"
+        " `out_bytes` tile (`compute_alphas` a_out x `tile.out_bytes`), while the"
+        " replay stores all m output channels per spatial tile",
+    )
+    def test_is_priced_store_bytes_equal_the_replayed_stores(self):
+        conv = conv_for(n=4, h=16, l=16, m=8, k=3)
+        arch = nmp_profile()
+        q = ScheduleKind.IS
+        slice_ = tle_slicing(TlePartitionKind.KS, conv, arch.n_tle)
+        tile = tile_with_filters(q, conv, arch, slice_, 4, 7, 14)
+        assert tile.t_m == 1
+        priced = compute_alphas(q, conv, slice_, tile, arch.n_tle).a_out * tile.out_bytes
+        trace = simulate_schedule(q, conv, slice_, tile, arch)
+        assert priced == sum(e.nbytes for e in trace.events if e.kind is TileKind.OUT)
+
+    @staticmethod
+    def ks_ofm_loads(arch):
+        conv = conv_for(n=2, h=12, l=12, m=12, k=1)  # r = c = 12
+        slice_ = tle_slicing(TlePartitionKind.KS_OFM, conv, arch.n_tle)
+        tile = tile_with_filters(ScheduleKind.OS, conv, arch, slice_, 2, 4, 12)
+        trace = simulate_schedule(ScheduleKind.OS, conv, slice_, tile, arch)
+        return tile, [e for e in trace.events if e.kind is TileKind.IN]
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FOUND: `slicing.tle_slicing` cuts KS_OFM rows into n_tle/2 bands,"
+        " but `simulator._slice_origin` lays the TLEs out as 2 row groups of n_tle/2"
+        " filter groups, so with n_tle >= 6 rows from 2*tle_r on are never loaded",
+    )
+    def test_ks_ofm_on_6_tles_loads_every_row(self):
+        _, loads = self.ks_ofm_loads(arch_for(n_tle=6))
+        rows = set()
+        for e in loads:
+            (_, row, _), (_, n_rows, _) = clip_box(e.map_dims, e.origin, e.extent)
+            rows.update(range(row, row + n_rows))
+        assert rows == set(range(12))
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="FOUND: `tle_slicing(KS_OFM)` gives each TLE the whole layer on 2 TLEs,"
+        " while `simulator._slice_origin` puts TLE 1 at row `r`, past the map:"
+        " TLE 1's IN events touch 0 bytes",
+    )
+    def test_ks_ofm_on_2_tles_loads_on_both(self):
+        tile, loads = self.ks_ofm_loads(arch_for(n_tle=2, n_tlt=2))
+        assert tile.t_m == 6
+        assert sum(e.nbytes for e in loads if e.tle == 1) > 0
